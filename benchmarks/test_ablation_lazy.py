@@ -19,7 +19,7 @@ from .conftest import write_result
 
 @pytest.fixture(scope="module")
 def ablation_app(toolset):
-    picker = ApiPicker(toolset.apidb)
+    picker = ApiPicker.of(toolset.apidb)
     forge = AppForge(
         "com.ablation.app", "AblationApp",
         min_sdk=19, target_sdk=26, seed=77,

@@ -69,7 +69,7 @@ def test_figure3_outlier_mechanism(benchmark, toolset, picker_pool=None):
     from repro.workload.appgen import ApiPicker, AppForge
 
     apidb = toolset.apidb
-    picker = ApiPicker(apidb)
+    picker = ApiPicker.of(apidb)
 
     def build(pool_size):
         forge = AppForge(

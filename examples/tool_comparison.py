@@ -49,7 +49,7 @@ EXPLANATIONS = {
 def main() -> None:
     framework = FrameworkRepository()
     apidb = build_api_database(framework)
-    picker = ApiPicker(apidb)
+    picker = ApiPicker.of(apidb)
 
     forge = AppForge(
         "com.demo.tricky", "TrickyApp",

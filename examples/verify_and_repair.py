@@ -40,7 +40,7 @@ def build_buggy_app(apidb, picker):
 def main() -> None:
     framework = FrameworkRepository()
     apidb = build_api_database(framework)
-    picker = ApiPicker(apidb)
+    picker = ApiPicker.of(apidb)
     apk = build_buggy_app(apidb, picker)
 
     # 1. static detection ------------------------------------------------

@@ -255,7 +255,17 @@ def mine_images(
 # cached default
 # ---------------------------------------------------------------------------
 
-_DEFAULT_CACHE: dict[int, ApiDatabase] = {}
+#: ``id(spec)`` → ``(spec, database)``.  The entry keeps its spec
+#: alive and every lookup checks ``is``, so a collected spec's address
+#: reused by a new spec can never hand over the old database.
+_DEFAULT_CACHE: dict[int, tuple[FrameworkSpec, ApiDatabase]] = {}
+
+
+def _cached(spec: FrameworkSpec) -> ApiDatabase | None:
+    entry = _DEFAULT_CACHE.get(id(spec))
+    if entry is None or entry[0] is not spec:
+        return None
+    return entry[1]
 
 
 def build_api_database(
@@ -272,10 +282,12 @@ def build_api_database(
         repository = FrameworkRepository()
     if from_images:
         return mine_images(repository)
-    key = id(repository.spec)
-    if key not in _DEFAULT_CACHE:
-        _DEFAULT_CACHE[key] = mine_spec(repository.spec)
-    return _DEFAULT_CACHE[key]
+    spec = repository.spec
+    apidb = _cached(spec)
+    if apidb is None:
+        apidb = mine_spec(spec)
+        register_database(spec, apidb)
+    return apidb
 
 
 def cached_database(spec: FrameworkSpec) -> ApiDatabase | None:
@@ -286,11 +298,11 @@ def cached_database(spec: FrameworkSpec) -> ApiDatabase | None:
     built database, and a retry round's fresh pool must reuse it
     instead of re-mining.
     """
-    return _DEFAULT_CACHE.get(id(spec))
+    return _cached(spec)
 
 
 def register_database(spec: FrameworkSpec, apidb: ApiDatabase) -> None:
     """Adopt a database built elsewhere (e.g. loaded from a framework
     snapshot) so later :func:`build_api_database` calls over the same
     spec object are dictionary hits."""
-    _DEFAULT_CACHE[id(spec)] = apidb
+    _DEFAULT_CACHE[id(spec)] = (spec, apidb)

@@ -138,7 +138,7 @@ def run_campaign(
     """Run one full differential campaign."""
     framework = framework or FrameworkRepository()
     apidb = apidb or build_api_database(framework)
-    picker = ApiPicker(apidb)
+    picker = ApiPicker.of(apidb)
     result = CampaignResult(config=config)
 
     # Phase 1: plan + materialize.

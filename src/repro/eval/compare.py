@@ -138,7 +138,6 @@ def plan_compare_corpus(
     seed: int,
     n_apps: int,
     apidb=None,
-    picker=None,
 ) -> tuple[list[AppPlan], list[ForgedApp], list[list[ScenarioTrace]]]:
     """Plan and materialize the campaign corpus with attribution.
 
@@ -152,7 +151,7 @@ def plan_compare_corpus(
     traces: list[list[ScenarioTrace]] = []
     for plan in plans:
         trace: list[ScenarioTrace] = []
-        apps.append(materialize(plan, apidb, picker, trace=trace))
+        apps.append(materialize(plan, apidb, trace=trace))
         traces.append(trace)
     return plans, apps, traces
 
@@ -514,15 +513,12 @@ def capability_crosscheck(
 
 def scenario_kind_coverage(
     apidb=None,
-    picker=None,
     *,
     seed: int = 2026,
 ) -> dict[str, tuple[str, ...]]:
     """Mismatch kind value → scenario kinds that seed it, measured by
     materializing the coverage prefix (one app per scenario kind)."""
-    _, _, traces = plan_compare_corpus(
-        seed, len(ALL_KINDS), apidb, picker
-    )
+    _, _, traces = plan_compare_corpus(seed, len(ALL_KINDS), apidb)
     coverage: dict[str, list[str]] = {}
     for trace in traces:
         for entry in trace:
@@ -536,7 +532,6 @@ def scenario_kind_coverage(
 def missing_scenario_kinds(
     coverage: dict[str, tuple[str, ...]] | None = None,
     apidb=None,
-    picker=None,
 ) -> tuple[str, ...]:
     """Registered kinds no compare-corpus scenario can seed.
 
@@ -546,7 +541,7 @@ def missing_scenario_kinds(
     in ``workload/appgen.py`` so campaigns exercise it.
     """
     if coverage is None:
-        coverage = scenario_kind_coverage(apidb, picker)
+        coverage = scenario_kind_coverage(apidb)
     return tuple(
         spec.value
         for spec in registered_kinds()
@@ -823,7 +818,6 @@ def run_compare(
     config: CompareConfig,
     *,
     substrate: tuple | None = None,
-    picker=None,
     progress: Callable[[str], None] | None = None,
 ) -> CompareResult:
     """Run one agreement campaign end to end.
@@ -839,7 +833,7 @@ def run_compare(
         framework = FrameworkRepository()
         apidb = build_api_database(framework)
 
-    uncovered = missing_scenario_kinds(apidb=apidb, picker=picker)
+    uncovered = missing_scenario_kinds(apidb=apidb)
     if uncovered:
         raise CompareError(
             "no scenario builder seeds mismatch kind(s) "
@@ -850,7 +844,7 @@ def run_compare(
         )
 
     _, apps, traces = plan_compare_corpus(
-        config.seed, config.n_apps, apidb, picker
+        config.seed, config.n_apps, apidb
     )
     runs: dict[str, RunResults] = {}
     for name in config.configs:

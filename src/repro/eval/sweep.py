@@ -84,7 +84,7 @@ def _sweep_point(
     else:
         framework = FrameworkRepository(spec)
         apidb = mine_spec(spec)
-    picker = ApiPicker(apidb)
+    picker = ApiPicker.of(apidb)
     saintdroid = SaintDroid(
         framework,
         apidb,

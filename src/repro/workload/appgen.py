@@ -43,7 +43,9 @@ scenario                              who is expected to handle it
 from __future__ import annotations
 
 import random
+import weakref
 from dataclasses import dataclass, field
+from typing import Callable
 
 from ..apk.dexfile import DexFile
 from ..apk.manifest import (
@@ -97,12 +99,33 @@ class _ApiFact:
 class ApiPicker:
     """Deterministic selection of framework APIs by characteristics.
 
-    Built once per API database; scenario methods draw from it with the
-    forge's seeded RNG so every generated app is reproducible.
+    One picker per API database: :meth:`of` memoizes it in a
+    :class:`weakref.WeakKeyDictionary` keyed on the database object,
+    so it lives exactly as long as that database and is never stored
+    on it (a database pickled into a pool worker does not drag its
+    picker along).  Each selection method builds its candidate list
+    once per argument tuple; every list keeps the catalog order of
+    ``_facts``, so the forge's seeded RNG draws the same entry a fresh
+    scan would and every generated app stays reproducible.
     """
 
+    _memo: "weakref.WeakKeyDictionary[ApiDatabase, ApiPicker]" = (
+        weakref.WeakKeyDictionary()
+    )
+
+    @classmethod
+    def of(cls, apidb: ApiDatabase) -> "ApiPicker":
+        """The shared picker for ``apidb``, built on first use."""
+        picker = cls._memo.get(apidb)
+        if picker is None:
+            picker = cls._memo[apidb] = cls(apidb)
+        return picker
+
     def __init__(self, apidb: ApiDatabase) -> None:
-        self._apidb = apidb
+        # Only the permission map is kept: a reference back to the
+        # database would keep its memo entry alive forever.
+        self._permission_map = apidb.permission_map
+        self._cache: dict[tuple, list[_ApiFact]] = {}
         self._facts: list[_ApiFact] = []
         for class_name in apidb.class_names:
             class_entry = apidb.clazz(class_name)
@@ -123,7 +146,7 @@ class ApiPicker:
                         ),
                         dangerous_permissions=frozenset(
                             p
-                            for p in apidb.permission_map.permissions_for(
+                            for p in self._permission_map.permissions_for(
                                 method.ref
                             )
                             if is_dangerous(p)
@@ -137,6 +160,19 @@ class ApiPicker:
 
     # -- selection helpers -------------------------------------------------
 
+    def _candidates(
+        self, key: tuple, predicate: Callable[[_ApiFact], bool]
+    ) -> list[_ApiFact]:
+        """The facts matching ``predicate`` in ``_facts`` order, built
+        on the first call for ``key`` (the method name plus its
+        arguments) and cached."""
+        candidates = self._cache.get(key)
+        if candidates is None:
+            candidates = self._cache[key] = [
+                f for f in self._facts if predicate(f)
+            ]
+        return candidates
+
     def _choose(self, rng: random.Random, candidates: list[_ApiFact]) -> _ApiFact:
         if not candidates:
             raise LookupError("no API matches the requested characteristics")
@@ -145,16 +181,15 @@ class ApiPicker:
     def safe_api(self, rng: random.Random) -> ApiEntry:
         """A method present at every level with no dangerous
         permissions — harmless filler material."""
-        candidates = [
-            f
-            for f in self._facts
-            if f.introduced == 2
+        candidates = self._candidates(
+            ("safe_api",),
+            lambda f: f.introduced == 2
             and f.last == MAX_API_LEVEL
             and not f.entry.callback
             and not f.dangerous_permissions
             and not f.entry.semantic_deltas
-            and not f.entry.name.startswith("<")
-        ]
+            and not f.entry.name.startswith("<"),
+        )
         return self._choose(rng, candidates).entry
 
     def new_api(
@@ -166,17 +201,16 @@ class ApiPicker:
         """A non-callback, permission-free API introduced within
         ``[min_introduced, max_introduced]`` and alive through the
         newest level."""
-        candidates = [
-            f
-            for f in self._facts
-            if min_introduced <= f.introduced <= max_introduced
+        candidates = self._candidates(
+            ("new_api", min_introduced, max_introduced),
+            lambda f: min_introduced <= f.introduced <= max_introduced
             and f.last == MAX_API_LEVEL
             and f.contiguous
             and not f.entry.callback
             and not f.dangerous_permissions
             and not f.entry.semantic_deltas
-            and not f.entry.name.startswith("<")
-        ]
+            and not f.entry.name.startswith("<"),
+        )
         return self._choose(rng, candidates).entry
 
     def removed_api(
@@ -184,17 +218,16 @@ class ApiPicker:
     ) -> ApiEntry:
         """An API alive at ``alive_at`` but removed before the newest
         level (forward-compatibility material)."""
-        candidates = [
-            f
-            for f in self._facts
-            if f.introduced <= alive_at <= f.last
+        candidates = self._candidates(
+            ("removed_api", alive_at),
+            lambda f: f.introduced <= alive_at <= f.last
             and f.last < MAX_API_LEVEL
             and f.contiguous
             and not f.entry.callback
             and not f.dangerous_permissions
             and not f.entry.semantic_deltas
-            and not f.entry.name.startswith("<")
-        ]
+            and not f.entry.name.startswith("<"),
+        )
         return self._choose(rng, candidates).entry
 
     def subclassable_new_api(
@@ -207,18 +240,22 @@ class ApiPicker:
         """A new API on a class that already exists at
         ``class_alive_at`` — so an app subclass is legal across the
         app's whole range while the method itself is newer."""
-        candidates = [
-            f
-            for f in self._facts
-            if f.class_introduced <= class_alive_at
+        candidates = self._candidates(
+            (
+                "subclassable_new_api",
+                class_alive_at,
+                min_introduced,
+                max_introduced,
+            ),
+            lambda f: f.class_introduced <= class_alive_at
             and min_introduced <= f.introduced <= max_introduced
             and f.last == MAX_API_LEVEL
             and f.contiguous
             and not f.entry.callback
             and not f.dangerous_permissions
             and not f.entry.semantic_deltas
-            and not f.entry.name.startswith("<")
-        ]
+            and not f.entry.name.startswith("<"),
+        )
         return self._choose(rng, candidates).entry
 
     def new_callback(
@@ -231,26 +268,30 @@ class ApiPicker:
     ) -> ApiEntry:
         """A callback introduced in the window.  ``modeled`` filters to
         (True) / away from (False) CIDER's four modeled classes."""
-        candidates = []
-        for f in self._facts:
+
+        def fits(f: _ApiFact) -> bool:
             if not f.entry.callback:
-                continue
+                return False
             if not (min_introduced <= f.introduced <= max_introduced):
-                continue
+                return False
             if f.last != MAX_API_LEVEL or not f.contiguous:
-                continue
+                return False
             if f.class_introduced > 2:
-                continue  # the subclass must be legal at every level
+                return False  # the subclass must be legal at every level
             if (f.entry.name, f.entry.descriptor) == _PERMISSION_HOOK:
-                continue
+                return False
             if f.entry.semantic_deltas:
-                continue
+                return False
             in_modeled = f.entry.class_name in _MODELED_CLASSES
             if modeled is True and not in_modeled:
-                continue
+                return False
             if modeled is False and in_modeled:
-                continue
-            candidates.append(f)
+                return False
+            return True
+
+        candidates = self._candidates(
+            ("new_callback", min_introduced, max_introduced, modeled), fits
+        )
         return self._choose(rng, candidates).entry
 
     def permission_api(
@@ -260,32 +301,35 @@ class ApiPicker:
         level.  ``deep=True`` restricts to APIs whose *direct*
         permission set is empty (enforcement buried in the framework);
         ``deep=False`` to directly-enforcing APIs."""
-        candidates = []
-        for f in self._facts:
+
+        def fits(f: _ApiFact) -> bool:
             # Realistic APIs require one or two dangerous permissions;
             # bulk framework methods sitting atop huge transitive
             # enforcement cones are not representative call targets.
             if not 1 <= len(f.dangerous_permissions) <= 2:
-                continue
+                return False
             if f.introduced != 2 or f.last != MAX_API_LEVEL:
-                continue
+                return False
             if f.entry.callback or f.entry.name.startswith("<"):
-                continue
+                return False
             if f.entry.semantic_deltas:
-                continue
+                return False
             direct = frozenset(
                 p
-                for p in self._apidb.permission_map.permissions_for(
+                for p in self._permission_map.permissions_for(
                     f.entry.ref, deep=False
                 )
                 if is_dangerous(p)
             )
             if deep is True and direct:
-                continue
+                return False
             if deep is False and not direct:
-                continue
-            candidates.append(f)
-        fact = self._choose(rng, candidates)
+                return False
+            return True
+
+        fact = self._choose(
+            rng, self._candidates(("permission_api", deep), fits)
+        )
         return fact.entry, fact.dangerous_permissions
 
     def semantic_api(
@@ -308,10 +352,9 @@ class ApiPicker:
                 return level > min_sdk
             return level <= max_level
 
-        candidates = [
-            f
-            for f in self._facts
-            if f.entry.semantic_deltas
+        candidates = self._candidates(
+            ("semantic_api", min_sdk, target_sdk, max_level, single_delta),
+            lambda f: f.entry.semantic_deltas
             and f.introduced <= min_sdk
             and f.last == MAX_API_LEVEL
             and f.contiguous
@@ -319,8 +362,8 @@ class ApiPicker:
             and not f.dangerous_permissions
             and not f.entry.name.startswith("<")
             and any(active(d.level) for d in f.entry.semantic_deltas)
-            and (not single_delta or len(f.entry.semantic_deltas) == 1)
-        ]
+            and (not single_delta or len(f.entry.semantic_deltas) == 1),
+        )
         return self._choose(rng, candidates).entry
 
 
@@ -366,7 +409,7 @@ class AppForge:
         self.buildable = buildable
         self._rng = random.Random(seed)
         self._apidb = apidb or build_api_database()
-        self._picker = picker or ApiPicker(self._apidb)
+        self._picker = picker or ApiPicker.of(self._apidb)
         self._classes: list[Clazz] = []
         self._secondary: list[Clazz] = []
         self._permissions: set[str] = set()

@@ -244,7 +244,7 @@ def build_benchmark_suite(
 ) -> list[ForgedApp]:
     """Materialize every benchmark replica (deterministic)."""
     apidb = apidb or build_api_database()
-    picker = ApiPicker(apidb)
+    picker = ApiPicker.of(apidb)
     return [
         build_benchmark_app(spec, apidb, picker, scale=scale)
         for spec in BENCHMARK_SPECS

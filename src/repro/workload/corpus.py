@@ -112,7 +112,7 @@ def generate_corpus(
     """Yield ``config.count`` calibrated apps, deterministically."""
     config = config or CorpusConfig()
     apidb = apidb or build_api_database()
-    picker = ApiPicker(apidb)
+    picker = ApiPicker.of(apidb)
     rng = random.Random(config.seed)
 
     for index in range(config.count):
@@ -322,7 +322,7 @@ def generate_overlapping_corpus(
     shape: each APK parses its bundled dex independently."""
     config = config or OverlapConfig()
     apidb = apidb or build_api_database()
-    picker = ApiPicker(apidb)
+    picker = ApiPicker.of(apidb)
 
     for index in range(config.count):
         library = _build_shared_library(config, apidb, picker)

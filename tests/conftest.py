@@ -33,7 +33,7 @@ def apidb(framework):
 
 @pytest.fixture(scope="session")
 def picker(apidb):
-    return ApiPicker(apidb)
+    return ApiPicker.of(apidb)
 
 
 def make_apk(

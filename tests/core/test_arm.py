@@ -116,3 +116,20 @@ class TestDefaultDatabase:
     def test_cached(self, framework):
         from repro.core.arm import build_api_database
         assert build_api_database(framework) is build_api_database(framework)
+
+    def test_stale_entry_under_reused_id_is_not_returned(
+        self, monkeypatch, spec_db
+    ):
+        """A collected spec's address can be reused by a new spec; the
+        entry it left behind must not be handed to the newcomer."""
+        from repro.core import arm
+
+        fresh = FrameworkSpec(curated_histories())
+        departed = FrameworkSpec(curated_histories())
+        monkeypatch.setitem(
+            arm._DEFAULT_CACHE, id(fresh), (departed, spec_db)
+        )
+        assert arm.cached_database(fresh) is None
+        built = arm.build_api_database(FrameworkRepository(fresh))
+        assert built is not spec_db
+        assert arm.cached_database(fresh) is built

@@ -30,8 +30,8 @@ from repro.eval.compare import (
 
 
 @pytest.fixture(scope="module")
-def coverage(apidb, picker):
-    return scenario_kind_coverage(apidb, picker)
+def coverage(apidb):
+    return scenario_kind_coverage(apidb)
 
 
 class TestCoverage:
@@ -77,7 +77,7 @@ class TestGate:
         assert missing_scenario_kinds(coverage) == (orphan_kind,)
 
     def test_campaign_fails_actionably(
-        self, orphan_kind, framework, apidb, picker
+        self, orphan_kind, framework, apidb
     ):
         with pytest.raises(CompareError) as excinfo:
             run_compare(
@@ -85,7 +85,6 @@ class TestGate:
                     seed=3, n_apps=2, configs=("SAINTDroid",)
                 ),
                 substrate=(framework, apidb),
-                picker=picker,
             )
         message = str(excinfo.value)
         assert "'ORF'" in message

@@ -174,13 +174,11 @@ class TestSeededCampaign:
     """The same invariants on real campaign output."""
 
     @pytest.fixture(scope="class")
-    def campaign(self, framework, apidb, picker):
+    def campaign(self, framework, apidb):
         config = CompareConfig(
             seed=424, n_apps=12, configs=("SAINTDroid", "CID", "Lint")
         )
-        return run_compare(
-            config, substrate=(framework, apidb), picker=picker
-        )
+        return run_compare(config, substrate=(framework, apidb))
 
     def test_label_complete(self, campaign):
         report = campaign.report
@@ -236,11 +234,10 @@ class TestFullRoster:
     registered configuration (CI's compare job runs this)."""
 
     @pytest.fixture(scope="class")
-    def campaign(self, framework, apidb, picker):
+    def campaign(self, framework, apidb):
         return run_compare(
             CompareConfig(seed=2026, n_apps=50),
             substrate=(framework, apidb),
-            picker=picker,
         )
 
     def test_capability_crosscheck_passes(self, campaign):

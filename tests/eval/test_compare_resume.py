@@ -30,12 +30,11 @@ N_APPS = 10
 
 
 @pytest.fixture(scope="module")
-def baseline(framework, apidb, picker):
+def baseline(framework, apidb):
     """The uninterrupted campaign every resumed run must match."""
     result = run_compare(
         CompareConfig(seed=SEED, n_apps=N_APPS, configs=CONFIGS),
         substrate=(framework, apidb),
-        picker=picker,
     )
     return (
         canonical_json(result.report),
@@ -43,7 +42,7 @@ def baseline(framework, apidb, picker):
     )
 
 
-def _campaign(tmp_path, framework, apidb, picker, **overrides):
+def _campaign(tmp_path, framework, apidb, **overrides):
     config = CompareConfig(
         seed=SEED,
         n_apps=N_APPS,
@@ -51,9 +50,7 @@ def _campaign(tmp_path, framework, apidb, picker, **overrides):
         checkpoint_dir=str(tmp_path / "ckpt"),
         **overrides,
     )
-    return run_compare(
-        config, substrate=(framework, apidb), picker=picker
-    )
+    return run_compare(config, substrate=(framework, apidb))
 
 
 def _kill(checkpoint_dir: Path) -> None:
@@ -68,13 +65,13 @@ def _kill(checkpoint_dir: Path) -> None:
 
 
 def test_kill_and_resume_is_byte_identical(
-    tmp_path, baseline, framework, apidb, picker
+    tmp_path, baseline, framework, apidb
 ):
-    full = _campaign(tmp_path, framework, apidb, picker)
+    full = _campaign(tmp_path, framework, apidb)
     assert canonical_json(full.report) == baseline[0]
 
     _kill(tmp_path / "ckpt")
-    resumed = _campaign(tmp_path, framework, apidb, picker)
+    resumed = _campaign(tmp_path, framework, apidb)
 
     # Only the journaled prefix was restored; the rest re-analyzed.
     assert resumed.runs[CONFIGS[0]].resumed_indices == (0, 1, 2, 3)
@@ -87,19 +84,19 @@ def test_kill_and_resume_is_byte_identical(
 
 
 def test_resume_crosses_schedulers(
-    tmp_path, baseline, framework, apidb, picker
+    tmp_path, baseline, framework, apidb
 ):
     """A serial campaign's journal resumes under ``--jobs 2`` — the
     checkpoint format carries no scheduler state."""
-    _campaign(tmp_path, framework, apidb, picker)
+    _campaign(tmp_path, framework, apidb)
     _kill(tmp_path / "ckpt")
-    resumed = _campaign(tmp_path, framework, apidb, picker, jobs=2)
+    resumed = _campaign(tmp_path, framework, apidb, jobs=2)
     assert resumed.runs[CONFIGS[0]].resumed_indices == (0, 1, 2, 3)
     assert canonical_json(resumed.report) == baseline[0]
 
 
 def test_worker_death_recovery_matches_baseline(
-    baseline, framework, apidb, picker
+    baseline, framework, apidb
 ):
     """An in-flight worker death on a retrying pool changes nothing:
     the app is re-dispatched and the campaign's matrices are byte-
@@ -119,22 +116,21 @@ def test_worker_death_recovery_matches_baseline(
             fault_plan=plan,
         ),
         substrate=(framework, apidb),
-        picker=picker,
     )
     assert canonical_json(result.report) == baseline[0]
 
 
 @pytest.mark.slow
 def test_resume_crosses_into_serve_mode(
-    tmp_path, baseline, framework, apidb, picker
+    tmp_path, baseline, framework, apidb
 ):
     """A journal written by the corpus scheduler resumes through the
     serve daemon's batch-submission path: same file name, same tools
     tuple, same bytes out."""
-    _campaign(tmp_path, framework, apidb, picker)
+    _campaign(tmp_path, framework, apidb)
     _kill(tmp_path / "ckpt")
     resumed = _campaign(
-        tmp_path, framework, apidb, picker, via_serve=True, jobs=2
+        tmp_path, framework, apidb, via_serve=True, jobs=2
     )
     assert resumed.runs[CONFIGS[0]].resumed_indices == (0, 1, 2, 3)
     assert canonical_json(resumed.report) == baseline[0]

@@ -1,11 +1,16 @@
 """Tests for the ApiPicker's selection guarantees."""
 
+import gc
 import random
+import weakref
 
 import pytest
 
 from repro.apk.manifest import MAX_API_LEVEL
+from repro.core.arm import mine_spec
+from repro.framework.catalog import curated_histories
 from repro.framework.permissions import is_dangerous
+from repro.framework.spec import FrameworkSpec
 from repro.workload.appgen import ApiPicker
 
 
@@ -122,3 +127,198 @@ class TestPermissionApi:
                 if is_dangerous(p)
             }
             assert direct
+
+
+# ---------------------------------------------------------------------------
+# per-database memo
+# ---------------------------------------------------------------------------
+
+
+def _curated_database():
+    return mine_spec(FrameworkSpec(curated_histories()))
+
+
+class TestMemo:
+    def test_one_picker_per_database(self, apidb):
+        assert ApiPicker.of(apidb) is ApiPicker.of(apidb)
+
+    def test_distinct_databases_get_distinct_pickers(self):
+        first, second = _curated_database(), _curated_database()
+        assert ApiPicker.of(first) is not ApiPicker.of(second)
+
+    def test_entry_dies_with_its_database(self):
+        database = _curated_database()
+        database_ref = weakref.ref(database)
+        picker_ref = weakref.ref(ApiPicker.of(database))
+        assert database in ApiPicker._memo
+        del database
+        gc.collect()
+        assert database_ref() is None
+        assert picker_ref() is None
+
+
+# ---------------------------------------------------------------------------
+# memoized candidate lists == brute-force filter of the catalog
+# ---------------------------------------------------------------------------
+
+LEVELS = range(2, MAX_API_LEVEL + 1)
+MODELED = {
+    "android.app.Activity", "android.app.Fragment",
+    "android.app.Service", "android.webkit.WebView",
+}
+
+
+def _plain(f) -> bool:
+    """Permission-free, behavior-stable, non-callback, not a
+    constructor or initializer."""
+    return (
+        not f.entry.callback
+        and not f.dangerous_permissions
+        and not f.entry.semantic_deltas
+        and not f.entry.name.startswith("<")
+    )
+
+
+def _windows():
+    for low in LEVELS:
+        for high in sorted({low, min(low + 3, MAX_API_LEVEL), MAX_API_LEVEL}):
+            yield low, high
+
+
+def _semantic_triples():
+    for min_sdk in LEVELS:
+        targets = {min_sdk, min(min_sdk + 5, MAX_API_LEVEL), MAX_API_LEVEL}
+        for target in sorted(targets):
+            for max_level in sorted({target, MAX_API_LEVEL}):
+                yield min_sdk, target, max_level
+
+
+def _grid(apidb):
+    """(method name, args, kwargs, brute-force predicate) for every
+    selection method over a grid of levels and every flag state."""
+    yield "safe_api", (), {}, lambda f: (
+        f.introduced == 2 and f.last == MAX_API_LEVEL and _plain(f)
+    )
+    for low, high in _windows():
+        yield "new_api", (low, high), {}, (
+            lambda f, low=low, high=high: low <= f.introduced <= high
+            and f.last == MAX_API_LEVEL
+            and f.contiguous
+            and _plain(f)
+        )
+    for level in LEVELS:
+        yield "removed_api", (level,), {}, (
+            lambda f, level=level: f.introduced <= level <= f.last
+            and f.last < MAX_API_LEVEL
+            and f.contiguous
+            and _plain(f)
+        )
+        for low, high in ((level, MAX_API_LEVEL), (level + 1, level + 4)):
+            yield "subclassable_new_api", (level, low, high), {}, (
+                lambda f, level=level, low=low, high=high: (
+                    f.class_introduced <= level
+                    and low <= f.introduced <= high
+                    and f.last == MAX_API_LEVEL
+                    and f.contiguous
+                    and _plain(f)
+                )
+            )
+        for modeled in (None, True, False):
+            yield (
+                "new_callback",
+                (level, MAX_API_LEVEL),
+                {"modeled": modeled},
+                lambda f, level=level, modeled=modeled: (
+                    f.entry.callback
+                    and level <= f.introduced
+                    and f.last == MAX_API_LEVEL
+                    and f.contiguous
+                    and f.class_introduced <= 2
+                    and f.entry.name != "onRequestPermissionsResult"
+                    and not f.entry.semantic_deltas
+                    and modeled in (None, f.entry.class_name in MODELED)
+                ),
+            )
+
+    def direct(f):
+        return any(
+            is_dangerous(p)
+            for p in apidb.permission_map.permissions_for(
+                f.entry.ref, deep=False
+            )
+        )
+
+    for deep in (None, True, False):
+        yield "permission_api", (), {"deep": deep}, (
+            lambda f, deep=deep: 1 <= len(f.dangerous_permissions) <= 2
+            and f.introduced == 2
+            and f.last == MAX_API_LEVEL
+            and not f.entry.callback
+            and not f.entry.name.startswith("<")
+            and not f.entry.semantic_deltas
+            and (deep is None or deep != direct(f))
+        )
+    for min_sdk, target, max_level in _semantic_triples():
+        for single in (False, True):
+            def matters(level, min_sdk=min_sdk, target=target,
+                        max_level=max_level):
+                if level <= target:
+                    return level > min_sdk
+                return level <= max_level
+
+            yield (
+                "semantic_api",
+                (),
+                {
+                    "min_sdk": min_sdk,
+                    "target_sdk": target,
+                    "max_level": max_level,
+                    "single_delta": single,
+                },
+                lambda f, min_sdk=min_sdk, single=single, matters=matters: (
+                    bool(f.entry.semantic_deltas)
+                    and f.introduced <= min_sdk
+                    and f.last == MAX_API_LEVEL
+                    and f.contiguous
+                    and not f.entry.callback
+                    and not f.dangerous_permissions
+                    and not f.entry.name.startswith("<")
+                    and any(matters(d.level) for d in f.entry.semantic_deltas)
+                    and (not single or len(f.entry.semantic_deltas) == 1)
+                ),
+            )
+
+
+class TestCandidateParity:
+    """Every memoized list is the brute-force filter of ``_facts``,
+    element for element and in catalog order — the property that keeps
+    seeded ``rng.choice`` draws, and so every generated app, unchanged."""
+
+    @pytest.fixture(scope="class")
+    def fresh(self, apidb):
+        return ApiPicker(apidb)
+
+    def test_memoized_lists_match_a_full_scan(self, fresh, apidb):
+        drawn = []
+        real_choose = fresh._choose
+
+        def spy(rng, candidates):
+            drawn.append(candidates)
+            return real_choose(rng, candidates)
+
+        fresh._choose = spy
+        methods = set()
+        for name, args, kwargs, predicate in _grid(apidb):
+            methods.add(name)
+            expected = [f for f in fresh._facts if predicate(f)]
+            for _ in range(2):  # the build, then the memo hit
+                try:
+                    getattr(fresh, name)(random.Random(0), *args, **kwargs)
+                except LookupError:
+                    assert not expected, (name, args, kwargs)
+                assert drawn[-1] == expected, (name, args, kwargs)
+            assert drawn[-1] is drawn[-2], (name, args, kwargs)
+        assert methods == {
+            "safe_api", "new_api", "removed_api", "subclassable_new_api",
+            "new_callback", "permission_api", "semantic_api",
+        }
