@@ -35,6 +35,7 @@ __all__ = [
     "parse_semantic_tag",
     "materialize_class",
     "materialize_image",
+    "class_instruction_count",
 ]
 
 #: The framework-internal permission enforcement sink.
@@ -81,6 +82,21 @@ def _padding_amount(ref: MethodRef) -> int:
     return 4 + (hash((ref.class_name, ref.name, ref.descriptor)) & 7)
 
 
+def _live_callees(
+    history: MethodHistory, spec: FrameworkSpec, level: int
+) -> list[MethodRef]:
+    """The declared callees a regular body invokes at ``level``: those
+    whose target is alive there."""
+    live = []
+    for callee in history.calls:
+        target = spec.find_method(
+            callee.class_name, callee.name + callee.descriptor
+        )
+        if target is not None and target.exists_at(level):
+            live.append(callee)
+    return live
+
+
 def _emit_regular_body(
     builder: MethodBuilder,
     history: MethodHistory,
@@ -94,12 +110,8 @@ def _emit_regular_body(
         builder.const_string(8, permission)
         builder.const_string(9, f"{builder.ref.name} requires {permission}")
         builder.invoke_ref(InvokeKind.VIRTUAL, ENFORCEMENT_METHOD, args=(8, 9))
-    for callee in history.calls:
-        target = spec.find_method(
-            callee.class_name, callee.name + callee.descriptor
-        )
-        if target is not None and target.exists_at(level):
-            builder.invoke_ref(InvokeKind.VIRTUAL, callee, args=())
+    for callee in _live_callees(history, spec, level):
+        builder.invoke_ref(InvokeKind.VIRTUAL, callee, args=())
     if builder.ref.return_type != "void":
         builder.const_int(10, 0)
         builder.return_value(10)
@@ -180,6 +192,46 @@ def _materialize(
     if carriers:
         builder.add(_semantics_method(history.name, carriers, 0))
     return builder.build()
+
+
+def class_instruction_count(
+    spec: FrameworkSpec, name: ClassName, level: int
+) -> int:
+    """``materialize_class(spec, name, level).instruction_count``
+    without building the class (0 when it is absent at ``level``).
+
+    Counts exactly what :func:`_materialize` emits: a regular body is
+    its padding, three instructions per enforced permission, one
+    invoke per live callee and the return (two instructions when it
+    returns a value); a callback is a bare return; the dispatcher is
+    one invoke per callback plus its return; the semantics manifest is
+    one tag per delta plus its return.  A parity test holds this to the
+    generator at every level.
+    """
+    history = spec.clazz(name)
+    if history is None or not history.exists_at(level):
+        return 0
+    total = 0
+    callbacks = 0
+    deltas = 0
+    for method in history.methods_at(level):
+        if method.callback:
+            callbacks += 1
+            total += 1
+        else:
+            ref = MethodRef(history.name, method.name, method.descriptor)
+            total += (
+                _padding_amount(ref)
+                + 3 * len(method.permissions)
+                + len(_live_callees(method, spec, level))
+                + (2 if ref.return_type != "void" else 1)
+            )
+        deltas += len(method.semantics)
+    if callbacks:
+        total += callbacks + 1
+    if deltas:
+        total += deltas + 1
+    return total
 
 
 def materialize_image(spec: FrameworkSpec, level: int):

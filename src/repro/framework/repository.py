@@ -2,10 +2,14 @@
 
 The repository is the single source of framework code for every
 analysis.  Lazy lookups (:meth:`load_class`) back SAINTDroid's CLVM;
-eager image loads (:meth:`load_image`) back the whole-framework
-baselines.  Both are cached so repeated benchmark runs measure
-analysis behaviour, not regeneration cost — the *accounting* of what
-was loaded happens in each tool's metrics, not here.
+eager image loads (:meth:`load_image`) back the closed-world ablation
+(SAINTDroid-eager), image mining and parent-side level warming.  Both
+draw on one class cache, so repeated benchmark runs measure analysis
+behaviour, not regeneration cost — the *accounting* of what was
+loaded happens in each tool's metrics, not here.  Whole-framework
+baselines (CID) only need the image's size, which
+:meth:`image_instruction_count` counts from the spec without
+materializing anything.
 """
 
 from __future__ import annotations
@@ -16,7 +20,7 @@ from ..apk.manifest import MAX_API_LEVEL, MIN_API_LEVEL
 from ..ir.clazz import Clazz
 from ..ir.types import ClassName, is_framework_class
 from .catalog import default_spec
-from .generator import materialize_class, materialize_image
+from .generator import class_instruction_count, materialize_class
 from .spec import FrameworkSpec
 
 __all__ = ["FrameworkCacheStats", "FrameworkRepository"]
@@ -24,12 +28,15 @@ __all__ = ["FrameworkCacheStats", "FrameworkRepository"]
 
 @dataclass
 class FrameworkCacheStats:
-    """Hit/miss accounting for the shared class/image caches.
+    """Hit/miss accounting for the shared class cache.
 
     Framework IR is immutable per level, so a class materialized for
     one app is served from cache to every later :class:`ClassLoaderVM`
     over the same repository — a hit here is a parse the corpus run
-    did *not* pay for again."""
+    did *not* pay for again.  ``class_*`` count lazy lookups;
+    ``image_*`` count :meth:`FrameworkRepository.load_image` calls, a
+    hit being an image whose every class was already cached and a miss
+    one that had to materialize at least one class."""
 
     class_hits: int = 0
     class_misses: int = 0
@@ -57,7 +64,7 @@ class FrameworkRepository:
     def __init__(self, spec: FrameworkSpec | None = None) -> None:
         self._spec = spec if spec is not None else default_spec()
         self._class_cache: dict[tuple[int, ClassName], Clazz | None] = {}
-        self._image_cache: dict[int, dict[ClassName, Clazz]] = {}
+        self._image_units: dict[int, int] = {}
         self._dispatch_memos: dict[int, dict] = {}
         self.cache_stats = FrameworkCacheStats()
 
@@ -137,14 +144,9 @@ class FrameworkRepository:
         pool runs: warm once here, and every forked worker (or shared-
         segment attacher) starts with the whole level warm instead of
         each re-materializing its own working set."""
-        self._check_level(level)
-        installed = 0
-        for name, clazz in self.load_image(level).items():
-            key = (level, name)
-            if key not in self._class_cache:
-                self._class_cache[key] = clazz
-                installed += 1
-        return installed
+        before = len(self._class_cache)
+        self.load_image(level)
+        return len(self._class_cache) - before
 
     def owns(self, name: ClassName) -> bool:
         """Whether ``name`` is in the framework namespace (regardless of
@@ -162,20 +164,38 @@ class FrameworkRepository:
         return self._spec.class_names_at(level)
 
     def load_image(self, level: int) -> dict[ClassName, Clazz]:
-        """The complete framework image at ``level`` (cached)."""
-        self._check_level(level)
-        if level not in self._image_cache:
+        """The complete framework image at ``level``, assembled from
+        the class cache: only classes not cached yet are materialized
+        (and cached), so an image shares its class objects with lazy
+        :meth:`load_class` lookups."""
+        image: dict[ClassName, Clazz] = {}
+        materialized = False
+        for name in self.class_names(level):
+            key = (level, name)
+            clazz = self._class_cache.get(key)
+            if clazz is None:
+                clazz = materialize_class(self._spec, name, level)
+                self._class_cache[key] = clazz
+                materialized = True
+            image[name] = clazz
+        if materialized:
             self.cache_stats.image_misses += 1
-            self._image_cache[level] = materialize_image(self._spec, level)
         else:
             self.cache_stats.image_hits += 1
-        return self._image_cache[level]
+        return image
 
     def image_class_count(self, level: int) -> int:
         return len(self.class_names(level))
 
     def image_instruction_count(self, level: int) -> int:
         """Total code size of the image — the memory-model cost a
-        whole-framework tool pays up front."""
-        image = self.load_image(level)
-        return sum(clazz.instruction_count for clazz in image.values())
+        whole-framework tool pays up front.  Counted from the spec
+        (:func:`class_instruction_count`), not by materializing the
+        image, and memoized per level."""
+        units = self._image_units.get(level)
+        if units is None:
+            units = self._image_units[level] = sum(
+                class_instruction_count(self._spec, name, level)
+                for name in self.class_names(level)
+            )
+        return units

@@ -1,8 +1,15 @@
 """Tests for framework image materialization."""
 
+from functools import partial
+
+import pytest
+
+from repro.apk.manifest import MAX_API_LEVEL, MIN_API_LEVEL
+from repro.framework.catalog import build_spec, default_spec
 from repro.framework.generator import (
     DISPATCH_PREFIX,
     ENFORCEMENT_METHOD,
+    class_instruction_count,
     materialize_class,
     materialize_image,
 )
@@ -100,3 +107,28 @@ class TestMaterializeImage:
         for clazz in list(image.values())[:50]:
             for method in clazz.methods:
                 assert method.body is None or method.body.terminates
+
+
+class TestClassInstructionCount:
+    """The spec-side count must equal the generator's output exactly:
+    CID's modeled framework units are computed from it."""
+
+    @pytest.mark.parametrize(
+        "make_spec",
+        # The default framework, and the smallest one the bulk sweep
+        # (``eval/sweep.py``) builds.
+        [default_spec, partial(build_spec, bulk_classes=500, seed=11)],
+        ids=["default", "sweep-500"],
+    )
+    def test_matches_materialized_class_at_every_level(self, make_spec):
+        spec = make_spec()
+        for level in range(MIN_API_LEVEL, MAX_API_LEVEL + 1):
+            for name in spec.class_names:
+                clazz = materialize_class(spec, name, level)
+                expected = 0 if clazz is None else clazz.instruction_count
+                assert class_instruction_count(spec, name, level) == (
+                    expected
+                ), (name, level)
+
+    def test_unknown_class_counts_zero(self, spec):
+        assert class_instruction_count(spec, "no.such.Class", 23) == 0

@@ -2,7 +2,12 @@
 
 import pytest
 
+from repro.baselines.cid import Cid
+from repro.framework import repository as repository_module
+from repro.framework.generator import materialize_image
 from repro.framework.repository import FrameworkRepository
+
+from tests.conftest import activity_class, make_apk
 
 
 class TestFrameworkRepository:
@@ -48,3 +53,49 @@ class TestFrameworkRepository:
     def test_default_spec_used_when_none_given(self):
         repo = FrameworkRepository()
         assert repo.defines("android.app.Activity")
+
+
+class TestOneClassStore:
+    def test_image_shares_objects_with_lazy_lookups(self, spec):
+        framework = FrameworkRepository(spec)
+        lazy = framework.load_class("android.app.Activity", 23)
+        image = framework.load_image(23)
+        assert image["android.app.Activity"] is lazy
+        for name in list(image)[:50]:
+            assert image[name] is framework.load_class(name, 23)
+
+    def test_image_reuses_cached_classes(self, spec):
+        framework = FrameworkRepository(spec)
+        assert framework.warm_level(21) == framework.image_class_count(21)
+        assert framework.warm_level(21) == 0
+        assert framework.cache_stats.image_misses == 1
+        assert framework.cache_stats.image_hits == 1
+
+    def test_instruction_count_equals_materialized_image(self, spec):
+        framework = FrameworkRepository(spec)
+        image = materialize_image(spec, 23)
+        assert framework.image_instruction_count(23) == sum(
+            clazz.instruction_count for clazz in image.values()
+        )
+
+
+class TestCidSizesTheImageWithoutBuildingIt:
+    def test_cid_materializes_no_framework_class(
+        self, spec, apidb, monkeypatch
+    ):
+        framework = FrameworkRepository(spec)
+        calls = []
+        real = repository_module.materialize_class
+
+        def counting(*args):
+            calls.append(args[1:])
+            return real(*args)
+
+        monkeypatch.setattr(repository_module, "materialize_class", counting)
+        apk = make_apk([activity_class()], min_sdk=21, target_sdk=27)
+        report = Cid(framework, apidb).analyze(apk)
+        assert not report.metrics.failed
+        assert report.metrics.memory_units > framework.image_instruction_count(
+            27
+        )
+        assert calls == []
