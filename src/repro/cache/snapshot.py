@@ -37,10 +37,11 @@ from ..core.arm import build_api_database, cached_database, register_database
 from ..framework.generator import materialize_class
 from ..framework.repository import FrameworkRepository
 from ..framework.spec import FrameworkSpec
-from .fingerprint import CACHE_SCHEMA_VERSION, fingerprint_spec
+from .fingerprint import fingerprint_spec
 from .manifest import atomic_write_bytes
 
 __all__ = [
+    "SNAPSHOT_VERSION",
     "snapshot_path",
     "substrate_payload",
     "restore_substrate",
@@ -52,9 +53,17 @@ __all__ = [
 
 _CHECKSUM_BYTES = 32
 
+#: Format of the snapshot payload, in the file name and the payload.
+#: Version 2: method refs pickle without their memoized hash, which
+#: follows the writer's hash seed; snapshots written before that are
+#: misses.
+SNAPSHOT_VERSION = 2
+
 
 def snapshot_path(cache_dir: str | Path, key: str) -> Path:
-    return Path(cache_dir) / "framework" / f"{key}.snapshot"
+    return (
+        Path(cache_dir) / "framework" / f"{key}.v{SNAPSHOT_VERSION}.snapshot"
+    )
 
 
 def substrate_payload(
@@ -64,7 +73,7 @@ def substrate_payload(
     materialized form used by both disk snapshots and
     :class:`~repro.cache.shared.SharedSubstrate` segments."""
     return {
-        "version": CACHE_SCHEMA_VERSION,
+        "version": SNAPSHOT_VERSION,
         "key": key,
         "spec": framework.spec,
         # Keys only: materialization is a pure function of the
@@ -82,7 +91,7 @@ def restore_substrate(
     document; ``None`` on any structural defect or key mismatch."""
     if (
         not isinstance(doc, dict)
-        or doc.get("version") != CACHE_SCHEMA_VERSION
+        or doc.get("version") != SNAPSHOT_VERSION
         or (key is not None and doc.get("key") != key)
         or not isinstance(doc.get("spec"), FrameworkSpec)
         or not isinstance(doc.get("apidb"), ApiDatabase)

@@ -18,8 +18,11 @@ API database).  This module schedules a corpus over a process pool:
   build memo → shared segment → snapshot file → mine from the spec)
   in its initializer; every app the worker analyzes afterwards hits
   the worker-local framework class cache and database memo tables;
-* **chunked scheduling** — apps ship to workers in contiguous chunks
-  to amortize pickling overhead while keeping the pool busy;
+* **chunked scheduling** — work goes to workers in contiguous chunks
+  to amortize per-task dispatch while keeping the pool busy; under
+  fork a chunk carries corpus indices only, and each worker reads the
+  apps from the round's app map it inherited (elsewhere the apps
+  themselves are pickled into the chunk);
 * **failure isolation** — a crashing or timed-out app yields an
   :class:`~repro.eval.runner.AppResult` with a structured
   :class:`~repro.core.errors.AnalysisError`, never a dead run; a
@@ -57,7 +60,10 @@ so every future still in flight is drained (synthesized as
 ``worker-lost``, retryable), the broken pool is discarded, and the
 next round starts clean.  A fault-free run takes exactly one round
 and one pool — the tolerance machinery costs nothing until something
-actually breaks.
+actually breaks.  Under fork, each round sets its app map before its
+pool forks, so a retry round's fresh workers inherit exactly the apps
+they are sent indices for; worker-lost records are built from the
+parent's full entries.
 """
 
 from __future__ import annotations
@@ -89,6 +95,7 @@ if TYPE_CHECKING:  # pragma: no cover — import cycle guard
 __all__ = ["ParallelConfig", "PoolBackend", "run_tools_parallel"]
 
 #: One work item: corpus index, the app, and its 0-based attempt.
+#: Chunks shipped to forked workers carry ``None`` for the app.
 _Entry = tuple[int, ForgedApp, int]
 
 
@@ -100,7 +107,7 @@ class ParallelConfig:
     jobs: int = 2
     #: Apps per pool task; ``None`` picks a size that gives each
     #: worker several chunks (load balancing) without making tasks so
-    #: small that pickling dominates.
+    #: small that per-task dispatch dominates.
     chunk_size: int | None = None
     #: Per-app wall-clock budget (enforced inside workers).
     timeout_s: float | None = None
@@ -144,6 +151,10 @@ _WORKER_FAULTS: "FaultPlan | None" = None
 #: The substrate the parent prepared before forking the pool; workers
 #: inherit it as copy-on-write pages and skip every rebuild path.
 _PARENT_SUBSTRATE: "tuple[FrameworkRepository, object] | None" = None
+#: The current round's apps by corpus index, set by the parent just
+#: before the round's pool forks and cleared once the round is
+#: drained.  Forked workers inherit it and are sent indices only.
+_ROUND_APPS: dict[int, ForgedApp] = {}
 #: The shared segment this worker attached (kept open for the process
 #: lifetime: the decoded payload may reference the mapped pages).
 _WORKER_SEGMENT = None
@@ -236,6 +247,8 @@ def _analyze_chunk(
         raise RuntimeError("worker initialized without a tool set")
     out = []
     for index, forged, attempt in chunk:
+        if forged is None:
+            forged = _ROUND_APPS[index]
         fault = (
             _WORKER_FAULTS.fault_for(index)
             if _WORKER_FAULTS is not None
@@ -381,11 +394,15 @@ def _run_round(
     spec: FrameworkSpec,
     config: ParallelConfig,
     worker_stats: dict[int, dict],
-    snapshot_file: str | None = None,
-    shared_handle=None,
+    snapshot_file: str | None,
+    shared_handle,
+    *,
+    ship_apps: bool,
 ) -> list[tuple[_Entry, AppResult]]:
     """Dispatch one round's chunks over a fresh pool and drain every
-    future — including the ones a dying worker broke."""
+    future — including the ones a dying worker broke.  Without
+    ``ship_apps`` the chunks go out as indices only, and the workers
+    must have inherited ``_ROUND_APPS``."""
     entry_by_index = {
         entry[0]: entry for chunk in chunks for entry in chunk
     }
@@ -405,8 +422,16 @@ def _run_round(
             config.dedup,
         ),
     ) as pool:
+        # Each future maps to the parent's full entries: a worker-lost
+        # record needs the app, which an index-only chunk does not carry.
         futures = {
-            pool.submit(_analyze_chunk, chunk, config.timeout_s): chunk
+            pool.submit(
+                _analyze_chunk,
+                chunk if ship_apps else [
+                    (index, None, attempt) for index, _, attempt in chunk
+                ],
+                config.timeout_s,
+            ): chunk
             for chunk in chunks
         }
         for future in as_completed(futures):
@@ -526,11 +551,23 @@ class PoolBackend(CorpusBackend):
             pending[start:start + chunk_size]
             for start in range(0, len(pending), chunk_size)
         ]
-        return _run_round(
-            chunks, self._spec, config, self._worker_stats,
-            self._snapshot_file,
-            self._segment.handle if self._segment is not None else None,
-        )
+        # Under fork the round's pool inherits the parent's memory, so
+        # the apps need not be pickled: publish them by index before
+        # the pool forks and send indices.  Other start methods can
+        # only receive the apps themselves.
+        global _ROUND_APPS
+        ship_apps = _pool_context().get_start_method() != "fork"
+        if not ship_apps:
+            _ROUND_APPS = {index: forged for index, forged, _ in pending}
+        try:
+            return _run_round(
+                chunks, self._spec, config, self._worker_stats,
+                self._snapshot_file,
+                self._segment.handle if self._segment is not None else None,
+                ship_apps=ship_apps,
+            )
+        finally:
+            _ROUND_APPS = {}
 
     def finish(self, cache_dir) -> dict:
         merged = _merge_cache_stats(self._worker_stats)

@@ -21,6 +21,7 @@ method bodies.  Three body shapes matter to the analyses:
 
 from __future__ import annotations
 
+from ..apk.manifest import MAX_API_LEVEL, MIN_API_LEVEL
 from ..ir.builder import ClassBuilder, MethodBuilder
 from ..ir.instructions import InvokeKind
 from ..ir.method import Method, MethodFlags
@@ -35,7 +36,7 @@ __all__ = [
     "parse_semantic_tag",
     "materialize_class",
     "materialize_image",
-    "class_instruction_count",
+    "image_instruction_counts",
 ]
 
 #: The framework-internal permission enforcement sink.
@@ -82,21 +83,6 @@ def _padding_amount(ref: MethodRef) -> int:
     return 4 + (hash((ref.class_name, ref.name, ref.descriptor)) & 7)
 
 
-def _live_callees(
-    history: MethodHistory, spec: FrameworkSpec, level: int
-) -> list[MethodRef]:
-    """The declared callees a regular body invokes at ``level``: those
-    whose target is alive there."""
-    live = []
-    for callee in history.calls:
-        target = spec.find_method(
-            callee.class_name, callee.name + callee.descriptor
-        )
-        if target is not None and target.exists_at(level):
-            live.append(callee)
-    return live
-
-
 def _emit_regular_body(
     builder: MethodBuilder,
     history: MethodHistory,
@@ -110,8 +96,12 @@ def _emit_regular_body(
         builder.const_string(8, permission)
         builder.const_string(9, f"{builder.ref.name} requires {permission}")
         builder.invoke_ref(InvokeKind.VIRTUAL, ENFORCEMENT_METHOD, args=(8, 9))
-    for callee in _live_callees(history, spec, level):
-        builder.invoke_ref(InvokeKind.VIRTUAL, callee, args=())
+    for callee in history.calls:
+        target = spec.find_method(
+            callee.class_name, callee.name + callee.descriptor
+        )
+        if target is not None and target.exists_at(level):
+            builder.invoke_ref(InvokeKind.VIRTUAL, callee, args=())
     if builder.ref.return_type != "void":
         builder.const_int(10, 0)
         builder.return_value(10)
@@ -194,44 +184,89 @@ def _materialize(
     return builder.build()
 
 
-def class_instruction_count(
-    spec: FrameworkSpec, name: ClassName, level: int
-) -> int:
-    """``materialize_class(spec, name, level).instruction_count``
-    without building the class (0 when it is absent at ``level``).
+def image_instruction_counts(spec: FrameworkSpec) -> dict[int, int]:
+    """Total ``instruction_count`` of the materialized image at every
+    modeled level, in one pass over the spec and without building any
+    class.
 
-    Counts exactly what :func:`_materialize` emits: a regular body is
-    its padding, three instructions per enforced permission, one
-    invoke per live callee and the return (two instructions when it
-    returns a value); a callback is a bare return; the dispatcher is
-    one invoke per callback plus its return; the semantics manifest is
-    one tag per delta plus its return.  A parity test holds this to the
-    generator at every level.
+    Counts exactly what :func:`_materialize` emits.  A regular body is
+    its padding, three instructions per enforced permission and the
+    return (two instructions when it returns a value) at every level
+    the method is alive, plus one invoke per declared callee at every
+    level both the method and the callee are alive.  A callback is a
+    bare return.  Per class, the dispatcher is one invoke per live
+    callback plus its return and the semantics manifest one tag per
+    live delta plus its return, both taken from running per-level
+    counts.  A parity test holds the table to the materialized image
+    at every level.
     """
-    history = spec.clazz(name)
-    if history is None or not history.exists_at(level):
-        return 0
-    total = 0
-    callbacks = 0
-    deltas = 0
-    for method in history.methods_at(level):
-        if method.callback:
-            callbacks += 1
-            total += 1
-        else:
+    end = MAX_API_LEVEL + 1
+
+    def span(diff: list[int], lo: int, hi: int, amount: int) -> None:
+        # Difference array: ``amount`` at every level in [lo, hi).
+        diff[lo] += amount
+        diff[hi] -= amount
+
+    fixed = [0] * (end + 1)
+    synthetic = [0] * (end + 1)
+    for name in spec.class_names:
+        history = spec.clazz(name)
+        class_lo = max(history.introduced, MIN_API_LEVEL)
+        class_hi = end if history.removed is None else min(
+            history.removed, end
+        )
+        if class_lo >= class_hi:
+            continue
+        callbacks = [0] * (end + 1)
+        deltas = [0] * (end + 1)
+        for method in history.methods:
+            lo = max(class_lo, method.introduced)
+            hi = class_hi if method.removed is None else min(
+                class_hi, method.removed
+            )
+            if lo >= hi:
+                continue
+            if method.semantics:
+                span(deltas, lo, hi, len(method.semantics))
+            if method.callback:
+                span(fixed, lo, hi, 1)
+                span(callbacks, lo, hi, 1)
+                continue
             ref = MethodRef(history.name, method.name, method.descriptor)
-            total += (
+            span(
+                fixed,
+                lo,
+                hi,
                 _padding_amount(ref)
                 + 3 * len(method.permissions)
-                + len(_live_callees(method, spec, level))
-                + (2 if ref.return_type != "void" else 1)
+                + (2 if ref.return_type != "void" else 1),
             )
-        deltas += len(method.semantics)
-    if callbacks:
-        total += callbacks + 1
-    if deltas:
-        total += deltas + 1
-    return total
+            for callee in method.calls:
+                target = spec.find_method(
+                    callee.class_name, callee.name + callee.descriptor
+                )
+                if target is None:
+                    continue
+                callee_lo = max(lo, target.introduced)
+                callee_hi = hi if target.removed is None else min(
+                    hi, target.removed
+                )
+                if callee_lo < callee_hi:
+                    span(fixed, callee_lo, callee_hi, 1)
+        live_callbacks = live_deltas = 0
+        for level in range(class_lo, class_hi):
+            live_callbacks += callbacks[level]
+            live_deltas += deltas[level]
+            if live_callbacks:
+                synthetic[level] += live_callbacks + 1
+            if live_deltas:
+                synthetic[level] += live_deltas + 1
+    table: dict[int, int] = {}
+    running = 0
+    for level in range(MIN_API_LEVEL, end):
+        running += fixed[level]
+        table[level] = running + synthetic[level]
+    return table
 
 
 def materialize_image(spec: FrameworkSpec, level: int):

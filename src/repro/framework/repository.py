@@ -8,8 +8,9 @@ draw on one class cache, so repeated benchmark runs measure analysis
 behaviour, not regeneration cost — the *accounting* of what was
 loaded happens in each tool's metrics, not here.  Whole-framework
 baselines (CID) only need the image's size, which
-:meth:`image_instruction_count` counts from the spec without
-materializing anything.
+:meth:`image_instruction_count` reads from a per-level table counted
+from the spec in one pass on first use, without materializing
+anything.
 """
 
 from __future__ import annotations
@@ -20,7 +21,7 @@ from ..apk.manifest import MAX_API_LEVEL, MIN_API_LEVEL
 from ..ir.clazz import Clazz
 from ..ir.types import ClassName, is_framework_class
 from .catalog import default_spec
-from .generator import class_instruction_count, materialize_class
+from .generator import image_instruction_counts, materialize_class
 from .spec import FrameworkSpec
 
 __all__ = ["FrameworkCacheStats", "FrameworkRepository"]
@@ -64,7 +65,7 @@ class FrameworkRepository:
     def __init__(self, spec: FrameworkSpec | None = None) -> None:
         self._spec = spec if spec is not None else default_spec()
         self._class_cache: dict[tuple[int, ClassName], Clazz | None] = {}
-        self._image_units: dict[int, int] = {}
+        self._image_units: dict[int, int] | None = None
         self._dispatch_memos: dict[int, dict] = {}
         self.cache_stats = FrameworkCacheStats()
 
@@ -189,13 +190,10 @@ class FrameworkRepository:
 
     def image_instruction_count(self, level: int) -> int:
         """Total code size of the image — the memory-model cost a
-        whole-framework tool pays up front.  Counted from the spec
-        (:func:`class_instruction_count`), not by materializing the
-        image, and memoized per level."""
-        units = self._image_units.get(level)
-        if units is None:
-            units = self._image_units[level] = sum(
-                class_instruction_count(self._spec, name, level)
-                for name in self.class_names(level)
-            )
-        return units
+        whole-framework tool pays up front.  Counted from the spec for
+        every level at once (:func:`image_instruction_counts`) on
+        first use, not by materializing any image."""
+        self._check_level(level)
+        if self._image_units is None:
+            self._image_units = image_instruction_counts(self._spec)
+        return self._image_units[level]

@@ -115,6 +115,12 @@ class MethodRef:
             object.__setattr__(self, "_hash", value)
         return value
 
+    def __reduce__(self):
+        # Pickle the three defining fields only: the memoized hash
+        # follows the writer's hash seed, and a ref carrying it into a
+        # process with another seed would miss every dict and set.
+        return (MethodRef, (self.class_name, self.name, self.descriptor))
+
     def __post_init__(self) -> None:
         if not self.class_name:
             raise ValueError("MethodRef requires a class name")

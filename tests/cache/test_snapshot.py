@@ -2,6 +2,14 @@
 
 from __future__ import annotations
 
+import json
+import os
+import subprocess
+import sys
+import textwrap
+from pathlib import Path
+
+import repro
 from repro.cache import (
     ensure_snapshot,
     fingerprint_spec,
@@ -113,3 +121,86 @@ class TestLoadOrBuild:
         spec = build_spec(bulk_classes=30, seed=9)
         _, _, source = load_or_build_substrate(None, spec)
         assert source == "built"
+
+
+_WRITE_SNAPSHOT = """
+import sys
+from repro.cache import fingerprint_spec, write_snapshot
+from repro.core.arm import build_api_database
+from repro.framework.catalog import build_spec
+from repro.framework.repository import FrameworkRepository
+
+spec = build_spec()
+framework = FrameworkRepository(spec)
+apidb = build_api_database(framework)
+write_snapshot(sys.argv[1], fingerprint_spec(spec), framework, apidb)
+"""
+
+_LOAD_AND_COMPARE = """
+import json
+import sys
+from repro.cache import fingerprint_spec, load_snapshot, snapshot_path
+from repro.core.arm import build_api_database
+from repro.eval.runner import ToolSet, run_tools
+from repro.framework.catalog import build_spec
+from repro.framework.repository import FrameworkRepository
+from repro.workload.corpus import CorpusConfig, generate_corpus
+
+spec = build_spec()
+framework = FrameworkRepository(spec)
+apidb = build_api_database(framework)
+key = fingerprint_spec(spec)
+loaded = load_snapshot(snapshot_path(sys.argv[1], key), key=key)
+apps = [
+    member.forged
+    for member in generate_corpus(
+        CorpusConfig(count=6, kloc_median=1.5, kloc_max=4.0, seed=5),
+        apidb,
+    )
+]
+tools = ("SAINTDroid",)
+fresh = run_tools(apps, ToolSet.default(framework, apidb, include=tools))
+restored = run_tools(apps, ToolSet.default(*loaded, include=tools))
+permission = sum(
+    mismatch.kind.is_permission
+    for result in fresh.results
+    for report in result.reports.values()
+    for mismatch in report.mismatches
+)
+print(json.dumps({
+    "loaded": loaded is not None,
+    "permission_findings": permission,
+    "equal": fresh.findings_fingerprint() == restored.findings_fingerprint(),
+}))
+"""
+
+
+def _run_under_hash_seed(seed: int, script: str, *args: str) -> str:
+    env = dict(os.environ, PYTHONHASHSEED=str(seed))
+    env["PYTHONPATH"] = str(Path(repro.__file__).resolve().parents[1])
+    done = subprocess.run(
+        [sys.executable, "-c", textwrap.dedent(script), *args],
+        env=env,
+        capture_output=True,
+        text=True,
+        timeout=300,
+    )
+    assert done.returncode == 0, done.stderr
+    return done.stdout
+
+
+class TestAcrossHashSeeds:
+    def test_snapshot_written_under_one_seed_loads_under_another(
+        self, tmp_path
+    ):
+        """Method refs key the database's tables; a snapshot must not
+        carry hashes that only the writer's hash seed can find."""
+        _run_under_hash_seed(1, _WRITE_SNAPSHOT, str(tmp_path))
+        out = json.loads(
+            _run_under_hash_seed(2, _LOAD_AND_COMPARE, str(tmp_path))
+            .strip()
+            .splitlines()[-1]
+        )
+        assert out["loaded"]
+        assert out["permission_findings"] > 0
+        assert out["equal"]

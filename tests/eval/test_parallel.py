@@ -9,12 +9,15 @@ accounting around it.
 
 from __future__ import annotations
 
+import multiprocessing
 import time
+from concurrent.futures import ProcessPoolExecutor
 
 import pytest
 
 from repro.cli import build_parser
 from repro.core.errors import ErrorKind
+from repro.eval import parallel
 from repro.eval import (
     AppTimeoutError,
     ParallelConfig,
@@ -165,6 +168,86 @@ class TestScheduling:
         assert sorted(seen) == sorted(
             f.apk.name for f in small_corpus[:3]
         )
+
+
+class _SpyPool(ProcessPoolExecutor):
+    """Records, parent-side, every chunk the engine submits and the
+    round's app map at that moment."""
+
+    chunks: list = []
+    maps: list = []
+
+    def submit(self, fn, chunk, *args, **kwargs):
+        type(self).chunks.append(chunk)
+        type(self).maps.append(dict(parallel._ROUND_APPS))
+        return super().submit(fn, chunk, *args, **kwargs)
+
+
+class _RaisingPool(_SpyPool):
+    def submit(self, fn, chunk, *args, **kwargs):
+        type(self).maps.append(dict(parallel._ROUND_APPS))
+        raise RuntimeError("submit failed")
+
+
+@pytest.fixture()
+def spy_pool(monkeypatch):
+    _SpyPool.chunks, _SpyPool.maps = [], []
+    monkeypatch.setattr(parallel, "ProcessPoolExecutor", _SpyPool)
+    return _SpyPool
+
+
+class TestAppShipping:
+    """Forked workers inherit the round's apps and are sent indices;
+    other start methods are sent the apps themselves."""
+
+    def test_forked_chunks_carry_indices_only(
+        self, spec, small_corpus, spy_pool
+    ):
+        assert parallel._pool_context().get_start_method() == "fork"
+        config = ParallelConfig(jobs=2, chunk_size=2, include=("SAINTDroid",))
+        out = run_tools_parallel(small_corpus, spec, config)
+        assert all(result.ok for result in out.results)
+        entries = [entry for chunk in spy_pool.chunks for entry in chunk]
+        assert sorted(index for index, _, _ in entries) == list(
+            range(len(small_corpus))
+        )
+        assert all(forged is None for _, forged, _ in entries)
+        for app_map in spy_pool.maps:
+            assert app_map == dict(enumerate(small_corpus))
+        assert parallel._ROUND_APPS == {}
+
+    def test_app_map_cleared_when_a_round_raises(
+        self, spec, small_corpus, monkeypatch
+    ):
+        _RaisingPool.maps = []
+        monkeypatch.setattr(parallel, "ProcessPoolExecutor", _RaisingPool)
+        backend = parallel.PoolBackend(
+            spec, ParallelConfig(jobs=2, include=("SAINTDroid",))
+        )
+        pending = [
+            (index, forged, 0) for index, forged in enumerate(small_corpus)
+        ]
+        with pytest.raises(RuntimeError, match="submit failed"):
+            backend.run_round(pending, 0)
+        assert _RaisingPool.maps == [dict(enumerate(small_corpus))]
+        assert parallel._ROUND_APPS == {}
+
+    def test_spawn_pool_ships_apps_and_matches_serial(
+        self, spec, framework, apidb, small_corpus, spy_pool, monkeypatch
+    ):
+        monkeypatch.setattr(
+            parallel,
+            "_pool_context",
+            lambda: multiprocessing.get_context("spawn"),
+        )
+        apps = small_corpus[:4]
+        serial = run_tools(apps, ToolSet.default(framework, apidb))
+        pooled = run_tools_parallel(apps, spec, ParallelConfig(jobs=2))
+        assert pooled.findings_fingerprint() == serial.findings_fingerprint()
+        entries = [entry for chunk in spy_pool.chunks for entry in chunk]
+        assert len(entries) == len(apps)
+        assert all(isinstance(forged, ForgedApp) for _, forged, _ in entries)
+        assert all(app_map == {} for app_map in spy_pool.maps)
 
 
 class TestCli:

@@ -9,7 +9,7 @@ from repro.framework.catalog import build_spec, default_spec
 from repro.framework.generator import (
     DISPATCH_PREFIX,
     ENFORCEMENT_METHOD,
-    class_instruction_count,
+    image_instruction_counts,
     materialize_class,
     materialize_image,
 )
@@ -109,9 +109,9 @@ class TestMaterializeImage:
                 assert method.body is None or method.body.terminates
 
 
-class TestClassInstructionCount:
-    """The spec-side count must equal the generator's output exactly:
-    CID's modeled framework units are computed from it."""
+class TestImageInstructionCounts:
+    """The one-pass table must equal the materialized image exactly at
+    every level: CID's modeled framework units are read from it."""
 
     @pytest.mark.parametrize(
         "make_spec",
@@ -120,15 +120,16 @@ class TestClassInstructionCount:
         [default_spec, partial(build_spec, bulk_classes=500, seed=11)],
         ids=["default", "sweep-500"],
     )
-    def test_matches_materialized_class_at_every_level(self, make_spec):
+    def test_equals_materialized_image(self, make_spec):
         spec = make_spec()
+        table = image_instruction_counts(spec)
         for level in range(MIN_API_LEVEL, MAX_API_LEVEL + 1):
-            for name in spec.class_names:
-                clazz = materialize_class(spec, name, level)
-                expected = 0 if clazz is None else clazz.instruction_count
-                assert class_instruction_count(spec, name, level) == (
-                    expected
-                ), (name, level)
+            assert table[level] == sum(
+                clazz.instruction_count
+                for clazz in materialize_image(spec, level).values()
+            ), level
 
-    def test_unknown_class_counts_zero(self, spec):
-        assert class_instruction_count(spec, "no.such.Class", 23) == 0
+    def test_table_covers_every_modeled_level(self, spec):
+        assert sorted(image_instruction_counts(spec)) == list(
+            range(MIN_API_LEVEL, MAX_API_LEVEL + 1)
+        )
