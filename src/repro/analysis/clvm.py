@@ -88,6 +88,9 @@ def _intern_site(
 
 
 _VIRTUAL_KINDS = frozenset((InvokeKind.VIRTUAL, InvokeKind.INTERFACE))
+#: Kinds resolved against the callee's class alone; every other kind
+#: walks the hierarchy (:meth:`HierarchyResolver.dispatch`).
+_STATIC_KINDS = frozenset((InvokeKind.STATIC, InvokeKind.DIRECT))
 
 #: artifact -> per-method *prepared* effect streams.  Raw streams hold
 #: JSON-ish tuples (string invoke kinds, refs as string triples); the
@@ -327,13 +330,20 @@ class ClassLoaderVM:
         self._framework_shadows = any(
             is_framework_class(clazz.name) for clazz in apk.all_classes
         )
-        #: Cross-app dispatch resolutions for framework callees,
-        #: shared through the framework repository (dedup mode only:
-        #: lazy accounting must not depend on sibling apps).
-        self._shared_dispatch = (
-            framework.dispatch_memo(level)
-            if class_store is not None and not self._framework_shadows
-            else None
+        #: Dispatch walks of framework callees, shared per level
+        #: through the framework repository and recorded by every
+        #: unshadowed app in every mode; framework apply plans are
+        #: built from it.
+        self._dispatch_walks = (
+            None
+            if self._framework_shadows
+            else framework.dispatch_walks(level)
+        )
+        #: Dedup mode reuses a recorded resolution instead of walking.
+        #: Lazy accounting must not depend on sibling apps, so lazy
+        #: explorers walk for themselves (or replay a walk's names).
+        self._reuse_walks = (
+            class_store is not None and self._dispatch_walks is not None
         )
         self.resolver = HierarchyResolver(
             apk,
@@ -452,17 +462,28 @@ class ClassLoaderVM:
 
         # The effect stream is a pure function of the method body; in
         # dedup mode a cached one is replayed instead of re-derived.
-        # Framework methods additionally replay a pre-resolved apply
-        # plan (dedup mode, unshadowed apps): framework-internal
+        # Framework methods of unshadowed apps replay a pre-resolved
+        # apply plan once one exists (every mode): framework-internal
         # dispatch never varies between such apps.
         if (
             effects is None
-            and self._shared_dispatch is not None
+            and not self._framework_shadows
             and method.ref.is_framework
         ):
-            self._replay_framework_plan(
-                method, depth, callgraph, worklist, queued,
+            plan = method.__dict__.get("_fw_plan")
+            if plan is not None:
+                self._replay_framework_plan(
+                    method.ref, plan, depth, callgraph, worklist,
+                    queued, unresolved_dynamic,
+                )
+                return
+            effects = self._prepared_method_effects(method)
+            self._apply_effects(
+                method.ref, effects, depth, callgraph, worklist, queued,
                 unresolved_dynamic,
+            )
+            object.__setattr__(
+                method, "_fw_plan", self._framework_plan(method.ref, effects)
             )
             return
         if effects is None:
@@ -605,80 +626,96 @@ class ClassLoaderVM:
                 else:
                     self.stats.dynamic_sites_unresolved += 1
 
-    # -- framework apply plans (dedup mode) -----------------------------
+    # -- framework apply plans -----------------------------------------
+    #
+    # A framework method's effects resolve identically in every app
+    # that shadows no framework class name (framework supertypes stay
+    # inside the framework namespace, see ``FrameworkSpec``), so the
+    # first such app to analyze the method applies them live and then
+    # caches a plan on the ``Method`` object (shared process-wide per
+    # class and level by the framework repository): the pre-resolved
+    # call sites, each with its dispatch memo key and the class names
+    # its recorded walk resolved.  Later apps replay the plan; a lazy
+    # app resolves those names for a call not yet in its dispatch
+    # memo, so class-load order and every load counter match the live
+    # path exactly.
 
-    def _framework_plan(self, method: Method) -> tuple:
-        """The pre-resolved apply plan of one framework method.
-
-        Cached on the ``Method`` object, which the framework
-        repository shares process-wide per (class, level) — so the
-        dispatch walks and ``CallSite`` construction happen once per
-        corpus, not once per app.  Only valid (and only consulted)
-        when the app shadows no framework class name; callees outside
-        the framework namespace stay ``live`` entries replayed through
-        the ordinary path.
-        """
-        plan = method.__dict__.get("_fw_plan")
-        if plan is not None:
-            return plan
-        caller = method.ref
+    def _framework_plan(
+        self, caller: MethodRef, effects: tuple[tuple, ...]
+    ) -> tuple:
+        """Build the apply plan of one framework method from its
+        prepared ``effects``, right after they were applied live —
+        every framework callee's walk is on record.  A callee outside
+        the framework namespace stays a ``live`` entry, replayed
+        through :meth:`_apply_effects`."""
+        walks = self._dispatch_walks
         entries: list[tuple] = []
-        for effect in self._prepared_method_effects(method):
-            kind = effect[0]
-            if kind == "invoke":
-                _, invoke_kind, callee, virtual = effect
-                if not callee.is_framework:
-                    # App-world callee from framework code: resolution
-                    # is app-dependent, keep it live.
-                    entries.append(("live", effect))
-                    continue
-                resolved = self._resolve_dispatch_ref(invoke_kind, callee)
-                target = resolved or callee
-                entries.append(
-                    (
-                        "call",
-                        _intern_site(caller, callee, resolved),
-                        target,
-                        target.is_framework,
-                        virtual,
-                    )
-                )
-            else:  # "loadclass" / "new" — already app-independent
+        for effect in effects:
+            if effect[0] != "invoke":
+                # "loadclass" / "new" — already app-independent.
                 entries.append(effect)
-        plan = tuple(entries)
-        object.__setattr__(method, "_fw_plan", plan)
-        return plan
+                continue
+            _, invoke_kind, callee, virtual = effect
+            if not callee.is_framework:
+                entries.append(("live", effect))
+                continue
+            key = (invoke_kind, callee)
+            resolved, names = walks[key]
+            target = resolved or callee
+            entries.append(
+                (
+                    "call",
+                    _intern_site(caller, callee, resolved),
+                    target,
+                    target.is_framework,
+                    virtual,
+                    key,
+                    names,
+                )
+            )
+        return tuple(entries)
 
     def _replay_framework_plan(
         self,
-        method: Method,
+        caller: MethodRef,
+        plan: tuple,
         depth: int,
         callgraph: CallGraph,
         worklist: list[tuple[MethodRef, int]],
         queued: set[MethodRef],
         unresolved_dynamic: list[ClassName],
     ) -> None:
-        """Apply a framework method's cached plan — same edges, same
-        enqueues, same order as :meth:`_apply_effects`, with the
-        depth policy and app-override expansion evaluated live."""
-        caller = method.ref
+        """Apply a framework method's cached plan — same loads, edges,
+        enqueues and order as :meth:`_apply_effects`, with the depth
+        policy and app-override expansion evaluated live."""
         next_depth = depth + 1
+        memo = self._dispatch_memo
         bucket: list | None = None
-        for entry in self._framework_plan(method):
+        for entry in plan:
             op = entry[0]
             if op == "call":
-                _, site, target, target_is_framework, virtual = entry
+                _, site, target, target_is_framework, virtual, key, names = (
+                    entry
+                )
+                if key not in memo:
+                    # What _resolve_dispatch_ref would do: reuse the
+                    # recorded walk in dedup mode, else redo its loads.
+                    if not self._reuse_walks:
+                        for name in names:
+                            self.resolver.resolve(name)
+                    memo[key] = site.resolved
                 if bucket is None:
                     bucket = callgraph.edges.setdefault(caller, [])
                 bucket.append(site)
                 if target_is_framework:
-                    if self._follow_framework and (
-                        self._max_framework_depth is None
-                        or next_depth <= self._max_framework_depth
+                    if not self._follow_framework or (
+                        self._max_framework_depth is not None
+                        and next_depth > self._max_framework_depth
                     ):
-                        if target not in queued:
-                            queued.add(target)
-                            worklist.append((target, next_depth))
+                        continue
+                    if target not in queued:
+                        queued.add(target)
+                        worklist.append((target, next_depth))
                 elif target not in queued:
                     queued.add(target)
                     worklist.append((target, depth))
@@ -727,13 +764,17 @@ class ClassLoaderVM:
         cache directory) and recorded otherwise."""
         artifact = self.dedup_artifacts.get(clazz.name)
         if artifact is None:
-            self.dedup_keys[clazz.name] = self.class_store.key_for(clazz)
-            artifact = self.class_store.get(clazz)
+            # Digest the class once: the key addresses the lookup, the
+            # staged artifact on a miss, and later guard rows.
+            key = self.dedup_keys[clazz.name] = self.class_store.key_for(
+                clazz
+            )
+            artifact = self.class_store.get(key)
             if artifact is not None:
                 self.stats.app_classes_deduped += 1
                 self.stats.instructions_deduped += clazz.instruction_count
             else:
-                artifact = self._record_artifact(clazz)
+                artifact = self._record_artifact(clazz, key)
             self.dedup_artifacts[clazz.name] = artifact
         prepared = _PREPARED_STREAMS.get(artifact)
         if prepared is None:
@@ -742,11 +783,11 @@ class ClassLoaderVM:
             )
         return prepared
 
-    def _record_artifact(self, clazz: Clazz):
-        """Derive and stage the full artifact of one app class: effect
-        streams plus version-helper summaries (the expensive pure
-        per-class computations).  Guard rows accumulate later, as the
-        guard phase observes contexts."""
+    def _record_artifact(self, clazz: Clazz, key: str):
+        """Derive and stage, under store ``key``, the full artifact of
+        one app class: effect streams plus version-helper summaries
+        (the expensive pure per-class computations).  Guard rows
+        accumulate later, as the guard phase observes contexts."""
         from ..cache.classes import ClassArtifact
         from .summaries import summarize_version_helper
 
@@ -761,7 +802,7 @@ class ClassLoaderVM:
             if levels is not None:
                 helpers[(method.ref.name, method.ref.descriptor)] = levels
         artifact = ClassArtifact(effects=effects, helpers=helpers)
-        self.class_store.stage(self.class_store.key_for(clazz), artifact)
+        self.class_store.stage(key, artifact)
         return artifact
 
     # -- summarized mode (framework pre-summaries) ---------------------
@@ -864,16 +905,13 @@ class ClassLoaderVM:
         memo_key = (kind, callee)
         if memo_key in self._dispatch_memo:
             return self._dispatch_memo[memo_key]
-        shared = (
-            self._shared_dispatch
-            if self._shared_dispatch is not None and callee.is_framework
-            else None
-        )
-        if shared is not None and memo_key in shared:
-            resolved = shared[memo_key]
-            self._dispatch_memo[memo_key] = resolved
-            return resolved
-        if kind in (InvokeKind.STATIC, InvokeKind.DIRECT):
+        walks = self._dispatch_walks if callee.is_framework else None
+        if walks is not None and self._reuse_walks:
+            walk = walks.get(memo_key)
+            if walk is not None:
+                self._dispatch_memo[memo_key] = walk[0]
+                return walk[0]
+        if kind in _STATIC_KINDS:
             clazz = self.resolver.resolve(callee.class_name)
             resolved = (
                 callee
@@ -888,9 +926,24 @@ class ClassLoaderVM:
                 else MethodRef(declaring.name, callee.name, callee.descriptor)
             )
         self._dispatch_memo[memo_key] = resolved
-        if shared is not None:
-            shared[memo_key] = resolved
+        if walks is not None and memo_key not in walks:
+            walks[memo_key] = (resolved, self._walk_names(kind, callee))
         return resolved
+
+    def _walk_names(
+        self, kind: InvokeKind, callee: MethodRef
+    ) -> tuple[ClassName, ...]:
+        """The class names the dispatch walk for ``callee`` resolves,
+        in order: the callee's class, then — for a dispatched (not
+        static or direct) callee its class does not declare — every
+        supertype name breadth-first.  Read back from the resolver's
+        caches right after the walk, so it loads nothing."""
+        names: tuple[ClassName, ...] = (callee.class_name,)
+        if kind not in _STATIC_KINDS:
+            clazz = self.resolver.resolve(callee.class_name)
+            if clazz is not None and not clazz.declares(callee.signature):
+                names += self.resolver.supertype_walk(callee.class_name)
+        return names
 
     def _enqueue(
         self,

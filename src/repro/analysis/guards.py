@@ -15,6 +15,14 @@ inter-procedural worklist over the explored call graph) and, in
 weakened intra-method form, by the first-level baseline scan passes
 (``cid-scan``, ``lint-source-scan``) — see
 :mod:`repro.pipeline.passes` and :mod:`repro.baselines.passes`.
+
+The dataflow runs only for a body that can narrow its entry interval:
+one that reads SDK_INT (an ``SdkIntLoad`` or a ``FieldGet`` of
+``SDK_INT_FIELD``) or invokes a helper named in the predicate
+summaries.  Every other body answers :func:`guard_at_invocations`
+from a per-body profile memoized on the :class:`MethodBody` — every
+invoke in a reachable block, in block order, under the entry interval
+— which is exactly what the dataflow would yield for it.
 """
 
 from __future__ import annotations
@@ -38,7 +46,7 @@ from ..ir.instructions import (
     NewInstance,
     SdkIntLoad,
 )
-from ..ir.method import Method
+from ..ir.method import Method, MethodBody
 from ..ir.types import SDK_INT_FIELD
 from ..apk.manifest import MIN_API_LEVEL
 from .cfg import build_cfg
@@ -344,6 +352,69 @@ def analyze_guards(
     )
 
 
+def _sdk_profile(
+    body: MethodBody,
+) -> tuple[bool, tuple[tuple[str, str, str], ...]]:
+    """Whether ``body`` reads SDK_INT, and the distinct
+    ``(class_name, name, descriptor)`` keys it invokes (computed once
+    per body, like :attr:`MethodBody.invocations`)."""
+    cached = body.__dict__.get("_sdk_profile")
+    if cached is None:
+        reads_sdk_int = any(
+            isinstance(instruction, SdkIntLoad)
+            or (
+                isinstance(instruction, FieldGet)
+                and instruction.fieldref == SDK_INT_FIELD
+            )
+            for instruction in body.instructions
+        )
+        keys = tuple(
+            dict.fromkeys(
+                (
+                    invoke.method.class_name,
+                    invoke.method.name,
+                    invoke.method.descriptor,
+                )
+                for invoke in body.invocations
+            )
+        )
+        cached = (reads_sdk_int, keys)
+        object.__setattr__(body, "_sdk_profile", cached)
+    return cached
+
+
+def _reachable_invocations(method: Method) -> tuple[Invoke, ...]:
+    """Every invoke in a CFG-reachable block of ``method``'s body, in
+    block order (memoized on the body).  A branch-free body reaches
+    exactly the prefix up to its first instruction that does not fall
+    through, so only bodies with branches build a CFG."""
+    body = method.body
+    cached = body.__dict__.get("_reachable_invocations")
+    if cached is not None:
+        return cached
+    instructions = body.instructions
+    if any(instruction.branch_targets for instruction in instructions):
+        cfg = build_cfg(method)
+        reachable = set(cfg.reverse_postorder())
+        cached = tuple(
+            instruction
+            for block in cfg.blocks
+            if block.index in reachable
+            for instruction in block.instructions
+            if isinstance(instruction, Invoke)
+        )
+    else:
+        prefix: list[Invoke] = []
+        for instruction in instructions:
+            if isinstance(instruction, Invoke):
+                prefix.append(instruction)
+            if not instruction.falls_through:
+                break
+        cached = tuple(prefix)
+    object.__setattr__(body, "_reachable_invocations", cached)
+    return cached
+
+
 def guard_at_invocations(
     method: Method,
     entry_interval: ApiInterval,
@@ -353,7 +424,34 @@ def guard_at_invocations(
     ``method``, where ``interval`` is the guard-refined set of device
     levels under which the call can execute.  Unreachable calls
     (empty interval / dead blocks) are skipped.
+
+    A body that reads no SDK_INT and invokes no summarized helper
+    cannot refine ``entry_interval``; its rows come from the memoized
+    reachable invokes without running the dataflow.
     """
+    body = method.body
+    if body is None:
+        return iter(())
+    reads_sdk_int, keys = _sdk_profile(body)
+    if not reads_sdk_int and not (
+        predicate_summaries
+        and any(key in predicate_summaries for key in keys)
+    ):
+        return (
+            (invoke, entry_interval)
+            for invoke in _reachable_invocations(method)
+        )
+    return _dataflow_invocations(
+        method, entry_interval, predicate_summaries
+    )
+
+
+def _dataflow_invocations(
+    method: Method,
+    entry_interval: ApiInterval,
+    predicate_summaries: dict[tuple, frozenset[int]] | None,
+):
+    """:func:`guard_at_invocations` by running the guard dataflow."""
     states = analyze_guards(method, entry_interval, predicate_summaries)
     for block in states.cfg.blocks:
         if states.entry_states.get(block.index) is None:

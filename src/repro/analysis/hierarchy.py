@@ -40,6 +40,9 @@ class HierarchyResolver:
         # same receiver class, so both walk shapes are memoized.
         self._chain_cache: dict[ClassName, tuple[Clazz, ...]] = {}
         self._supers_cache: dict[ClassName, tuple[Clazz, ...]] = {}
+        #: Every name each :meth:`all_supertypes` walk resolved, in
+        #: order, resolvable or not (see :meth:`supertype_walk`).
+        self._walk_cache: dict[ClassName, tuple[ClassName, ...]] = {}
         #: Optional ``hook(clazz, warm)`` fired the first time a class
         #: is resolved; the CLVM uses it to account for load costs.
         #: ``warm`` is True when a framework class came from the shared
@@ -103,6 +106,7 @@ class HierarchyResolver:
         if cached is not None:
             return cached
         out: list[Clazz] = []
+        walked: list[ClassName] = []
         seen: set[ClassName] = {name}
         queue: list[ClassName] = []
         first = self.resolve(name)
@@ -113,6 +117,7 @@ class HierarchyResolver:
             if super_name in seen:
                 continue
             seen.add(super_name)
+            walked.append(super_name)
             clazz = self.resolve(super_name)
             if clazz is None:
                 continue
@@ -120,7 +125,16 @@ class HierarchyResolver:
             queue.extend(clazz.supertypes)
         result = tuple(out)
         self._supers_cache[name] = result
+        self._walk_cache[name] = tuple(walked)
         return result
+
+    def supertype_walk(self, name: ClassName) -> tuple[ClassName, ...]:
+        """Every name :meth:`all_supertypes` resolves for ``name``,
+        breadth-first, including names that resolve to nothing.
+        Resolving these names in this order reproduces the walk's
+        class loads exactly."""
+        self.all_supertypes(name)
+        return self._walk_cache[name]
 
     def framework_ancestors(self, name: ClassName) -> tuple[Clazz, ...]:
         """The subset of :meth:`all_supertypes` owned by the framework."""

@@ -161,8 +161,8 @@ class ClassStore:
     """In-memory + on-disk store of :class:`ClassArtifact` entries.
 
     One instance is scoped to a (framework fingerprint, config
-    fingerprint) pair; lookups take a :class:`Clazz` and are keyed by
-    its content digest.  ``cache_dir=None`` keeps the store purely in
+    fingerprint) pair; entries are keyed by a class's content digest
+    (:meth:`key_for`).  ``cache_dir=None`` keeps the store purely in
     memory — dedup still amortizes across the apps of one run (or the
     lifetime of a daemon worker), it just does not survive the
     process.
@@ -207,11 +207,10 @@ class ClassStore:
 
     # -- lookup --------------------------------------------------------
 
-    def get(self, clazz: "Clazz") -> "ClassArtifact | None":
-        """The cached artifact for this exact class content, or
-        ``None`` (corrupt disk entries are dropped and count as
-        misses)."""
-        key = self.key_for(clazz)
+    def get(self, key: str) -> "ClassArtifact | None":
+        """The cached artifact under ``key`` (:meth:`key_for` of the
+        class), or ``None`` (corrupt disk entries are dropped and count
+        as misses)."""
         artifact = self._memory.get(key)
         if artifact is not None:
             self.stats.hits += 1

@@ -66,21 +66,25 @@ class FrameworkRepository:
         self._spec = spec if spec is not None else default_spec()
         self._class_cache: dict[tuple[int, ClassName], Clazz | None] = {}
         self._image_units: dict[int, int] | None = None
-        self._dispatch_memos: dict[int, dict] = {}
+        self._dispatch_walks: dict[int, dict] = {}
         self.cache_stats = FrameworkCacheStats()
 
-    def dispatch_memo(self, level: int) -> dict:
-        """Shared per-level dispatch resolutions for framework callees.
+    def dispatch_walks(self, level: int) -> dict:
+        """Shared per-level dispatch walks of framework callees: each
+        ``(invoke kind, callee)`` maps to its resolution and the class
+        names the walk resolved, in order.
 
         Framework-internal dispatch is a pure function of (spec, level)
         as long as the app does not shadow a framework class name, so
-        dedup-mode explorers resolve each framework callee once per
-        process instead of once per app.  Callers gate on the shadow
-        check; the repository just owns the table's lifetime."""
-        memo = self._dispatch_memos.get(level)
-        if memo is None:
-            memo = self._dispatch_memos[level] = {}
-        return memo
+        explorers of such apps record each walk once per process:
+        dedup-mode explorers reuse the resolution instead of walking,
+        and framework apply plans replay the names to keep every app's
+        load accounting exact.  Callers gate on the shadow check; the
+        repository just owns the table's lifetime."""
+        walks = self._dispatch_walks.get(level)
+        if walks is None:
+            walks = self._dispatch_walks[level] = {}
+        return walks
 
     @property
     def spec(self) -> FrameworkSpec:

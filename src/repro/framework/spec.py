@@ -17,7 +17,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from ..apk.manifest import MAX_API_LEVEL, MIN_API_LEVEL
-from ..ir.types import ClassName, MethodRef
+from ..ir.types import ClassName, MethodRef, is_framework_class
 
 __all__ = [
     "SEMANTIC_CHANGES",
@@ -192,6 +192,18 @@ class FrameworkSpec:
         for history in classes:
             if history.name in self._classes:
                 raise ValueError(f"duplicate class history {history.name}")
+            # Framework dispatch must never reach an app-definable
+            # name: apps that shadow no framework class then all
+            # resolve framework callees alike, which is what lets the
+            # CLVM share framework apply plans between them.
+            for supertype in (history.super_name, *history.interfaces):
+                if supertype is not None and not is_framework_class(
+                    supertype
+                ):
+                    raise ValueError(
+                        f"{history.name}: supertype {supertype} is outside "
+                        "the framework namespace"
+                    )
             self._classes[history.name] = history
 
     def __len__(self) -> int:

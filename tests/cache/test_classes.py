@@ -19,8 +19,13 @@ from repro.cache.classes import (
     registered_stores,
     reset_class_stores,
 )
+from repro.analysis.clvm import ClassLoaderVM
+from repro.cache import classes
 from repro.cache.manifest import shared_manifest
+from repro.core.aum import entry_points
 from repro.ir import ClassBuilder
+
+from tests.conftest import activity_class, make_apk
 
 
 def make_class(name="MainActivity", calls=("getSystemService",)):
@@ -78,23 +83,51 @@ class TestKeying:
         published = make_store(tmp_path)
         publish(published, clazz)
         other_fw = make_store(tmp_path, fw="fw-digest-v2")
-        assert other_fw.get(clazz) is None
+        assert other_fw.get(other_fw.key_for(clazz)) is None
         assert other_fw.stats.misses == 1
 
     def test_config_digest_partitions_the_store(self, tmp_path):
         clazz = make_class()
         publish(make_store(tmp_path), clazz)
         other_cfg = make_store(tmp_path, cfg="cfg-digest-v2")
-        assert other_cfg.get(clazz) is None
+        assert other_cfg.get(other_cfg.key_for(clazz)) is None
+
+
+class TestDigestOncePerLookup:
+    def test_vm_digests_each_class_once(self, framework, monkeypatch):
+        """The explorer derives a class's key once and reuses it for
+        the lookup and, on a miss, for staging the artifact."""
+        digested: list[str] = []
+        real = classes.fingerprint_clazz
+
+        def spy(clazz):
+            digested.append(clazz.name)
+            return real(clazz)
+
+        monkeypatch.setattr(classes, "fingerprint_clazz", spy)
+        store = ClassStore(
+            None, framework_fingerprint="fw", config_fingerprint="cfg"
+        )
+        apk = make_apk([activity_class(), make_class("Helper")])
+        # First app: both classes miss; second app: both hit.
+        for expected in ((0, 2), (2, 2)):
+            digested.clear()
+            store.begin_app()
+            vm = ClassLoaderVM(apk, framework, 23, class_store=store)
+            vm.explore(entry_points(apk))
+            store.commit_app()
+            assert (store.stats.hits, store.stats.misses) == expected
+            assert sorted(digested) == sorted(vm.dedup_keys)
+            assert len(digested) == 2
 
 
 class TestRoundTrip:
     def test_memory_hit_after_commit(self, tmp_path):
         store = make_store(tmp_path)
         clazz = make_class()
-        assert store.get(clazz) is None
+        assert store.get(store.key_for(clazz)) is None
         publish(store, clazz)
-        artifact = store.get(clazz)
+        artifact = store.get(store.key_for(clazz))
         assert isinstance(artifact, ClassArtifact)
         assert store.stats.hits == 1 and store.stats.misses == 1
 
@@ -105,7 +138,7 @@ class TestRoundTrip:
         assert first.stats.stores == 1
 
         fresh = make_store(tmp_path)
-        loaded = fresh.get(clazz)
+        loaded = fresh.get(fresh.key_for(clazz))
         assert loaded is not None
         assert loaded.helpers == artifact_for(clazz).helpers
         assert fresh.stats.hits == 1
@@ -116,7 +149,7 @@ class TestRoundTrip:
         )
         clazz = make_class()
         publish(store, clazz)
-        assert store.get(clazz) is not None
+        assert store.get(store.key_for(clazz)) is not None
         assert not list(tmp_path.iterdir())
 
     def test_guard_rows_accumulate_on_cached_artifact(self, tmp_path):
@@ -131,7 +164,7 @@ class TestRoundTrip:
         store.commit_app()
 
         fresh = make_store(tmp_path)
-        assert fresh.get(clazz).guard_rows[row_key] == rows
+        assert fresh.get(fresh.key_for(clazz)).guard_rows[row_key] == rows
 
 
 class TestCorruption:
@@ -147,7 +180,7 @@ class TestCorruption:
         blob[len(blob) // 2] ^= 0xFF
         path.write_bytes(bytes(blob))
 
-        assert fresh.get(clazz) is None
+        assert fresh.get(fresh.key_for(clazz)) is None
         assert fresh.stats.corrupt == 1
         assert fresh.stats.misses == 1
         assert not path.exists()
@@ -158,7 +191,7 @@ class TestCorruption:
         fresh = make_store(tmp_path)
         path = self._entry_path(fresh, clazz)
         path.write_bytes(path.read_bytes()[:10])
-        assert fresh.get(clazz) is None
+        assert fresh.get(fresh.key_for(clazz)) is None
         assert fresh.stats.corrupt == 1
 
     def test_artifact_version_bump_orphans_old_entries(self, tmp_path):
@@ -174,7 +207,7 @@ class TestCorruption:
         path.write_bytes(hashlib.sha256(payload).digest() + payload)
 
         fresh = make_store(tmp_path)
-        assert fresh.get(clazz) is None
+        assert fresh.get(fresh.key_for(clazz)) is None
         assert fresh.stats.corrupt == 1
 
 
@@ -189,9 +222,9 @@ class TestStagingDiscipline:
         store.begin_app()
         store.commit_app()
         assert store.stats.discarded == 1
-        assert store.get(clazz) is None
+        assert store.get(store.key_for(clazz)) is None
         fresh = make_store(tmp_path)
-        assert fresh.get(clazz) is None
+        assert fresh.get(fresh.key_for(clazz)) is None
 
     def test_guard_rows_for_unpublished_artifact_are_dropped(
         self, tmp_path
@@ -202,7 +235,7 @@ class TestStagingDiscipline:
         store.begin_app()
         store.record_guard_rows(key, ("sig", 16, 30, "d"), ())
         store.commit_app()  # no artifact staged or cached for the key
-        assert store.get(clazz) is None
+        assert store.get(store.key_for(clazz)) is None
 
 
 class TestEviction:

@@ -243,9 +243,9 @@ class TestChaosDiscipline:
 
         (store,) = registered_stores()
         for clazz in survivor.dex_files[0].classes:
-            assert store.get(clazz) is not None
+            assert store.get(store.key_for(clazz)) is not None
         before = store.stats.misses
         for clazz in doomed.dex_files[0].classes:
-            assert store.get(clazz) is None
+            assert store.get(store.key_for(clazz)) is None
         assert store.stats.misses > before
         reset_class_stores()

@@ -125,6 +125,18 @@ class TestFrameworkSpec:
                 (ClassHistory("android.x.A"), ClassHistory("android.x.A"))
             )
 
+    @pytest.mark.parametrize(
+        "history",
+        (
+            ClassHistory("android.x.A", super_name="com.app.Base"),
+            ClassHistory("android.x.A", interfaces=("com.app.Listener",)),
+        ),
+        ids=("super", "interface"),
+    )
+    def test_supertype_outside_framework_namespace_rejected(self, history):
+        with pytest.raises(ValueError, match="outside the framework"):
+            FrameworkSpec((history,))
+
     def test_validate_rejects_unknown_super(self):
         spec = FrameworkSpec(
             (ClassHistory("android.x.A", super_name="android.x.Missing"),)
