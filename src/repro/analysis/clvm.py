@@ -977,14 +977,29 @@ class ClassLoaderVM:
     # -- eager mode (ablation / whole-world baselines) -----------------
 
     def load_everything(self) -> None:
-        """Closed-world load: every app class and the entire framework
-        image.  Used by the eager ablation and to model whole-framework
-        baselines' memory footprint."""
+        """Charge a closed-world load: every app class plus the whole
+        framework at the level, retained.  Used by the eager ablation
+        and to model whole-framework baselines' memory footprint.
+
+        App classes load one by one.  The framework half is counted
+        from the repository's spec-counted image table, not built,
+        less the framework copy of every class already loaded under a
+        name the level defines (an app class shadows it).  Only those
+        shadowed classes are looked up, so an app that shadows nothing
+        materializes no framework class."""
         self.stats.retain_framework_bodies = True
         for clazz in self._apk.all_classes:
             self._on_class_loaded(clazz)
-        hits_before = self._framework.cache_stats.image_hits
-        image = self._framework.load_image(self._level)
-        warm = self._framework.cache_stats.image_hits > hits_before
-        for clazz in image.values():
-            self._on_class_loaded(clazz, warm)
+        classes = self._framework.image_class_count(self._level)
+        instructions = self._framework.image_instruction_count(self._level)
+        for name in self._loaded:
+            if not is_framework_class(name):
+                continue
+            shadowed = self._framework.load_class(name, self._level)
+            if shadowed is not None:
+                classes -= 1
+                instructions -= shadowed.instruction_count
+        self.stats.classes_loaded += classes
+        self.stats.framework_classes_loaded += classes
+        self.stats.instructions_loaded += instructions
+        self.stats.framework_instructions_loaded += instructions

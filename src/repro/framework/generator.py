@@ -21,6 +21,9 @@ method bodies.  Three body shapes matter to the analyses:
 
 from __future__ import annotations
 
+import zlib
+from typing import NamedTuple
+
 from ..apk.manifest import MAX_API_LEVEL, MIN_API_LEVEL
 from ..ir.builder import ClassBuilder, MethodBuilder
 from ..ir.instructions import InvokeKind
@@ -36,7 +39,8 @@ __all__ = [
     "parse_semantic_tag",
     "materialize_class",
     "materialize_image",
-    "image_instruction_counts",
+    "ImageCount",
+    "image_counts",
 ]
 
 #: The framework-internal permission enforcement sink.
@@ -79,8 +83,11 @@ def parse_semantic_tag(tag: str) -> tuple[str, int, str, str] | None:
 
 
 def _padding_amount(ref: MethodRef) -> int:
-    """Deterministic per-method padding size (4..11 instructions)."""
-    return 4 + (hash((ref.class_name, ref.name, ref.descriptor)) & 7)
+    """Per-method padding size (4..11 instructions), a pure function of
+    the method's signature: a CRC, not ``hash()``, so every interpreter
+    builds the same framework whatever its hash seed."""
+    signature = f"{ref.class_name}.{ref.name}{ref.descriptor}"
+    return 4 + (zlib.crc32(signature.encode()) & 7)
 
 
 def _emit_regular_body(
@@ -184,12 +191,20 @@ def _materialize(
     return builder.build()
 
 
-def image_instruction_counts(spec: FrameworkSpec) -> dict[int, int]:
-    """Total ``instruction_count`` of the materialized image at every
-    modeled level, in one pass over the spec and without building any
-    class.
+class ImageCount(NamedTuple):
+    """Size of the materialized framework image at one level."""
 
-    Counts exactly what :func:`_materialize` emits.  A regular body is
+    classes: int
+    instructions: int
+
+
+def image_counts(spec: FrameworkSpec) -> dict[int, ImageCount]:
+    """Class count and total ``instruction_count`` of the materialized
+    image at every modeled level, in one pass over the spec and
+    without building any class.
+
+    A class counts at every level it is alive.  Instructions count
+    exactly what :func:`_materialize` emits.  A regular body is
     its padding, three instructions per enforced permission and the
     return (two instructions when it returns a value) at every level
     the method is alive, plus one invoke per declared callee at every
@@ -207,6 +222,7 @@ def image_instruction_counts(spec: FrameworkSpec) -> dict[int, int]:
         diff[lo] += amount
         diff[hi] -= amount
 
+    classes = [0] * (end + 1)
     fixed = [0] * (end + 1)
     synthetic = [0] * (end + 1)
     for name in spec.class_names:
@@ -217,6 +233,7 @@ def image_instruction_counts(spec: FrameworkSpec) -> dict[int, int]:
         )
         if class_lo >= class_hi:
             continue
+        span(classes, class_lo, class_hi, 1)
         callbacks = [0] * (end + 1)
         deltas = [0] * (end + 1)
         for method in history.methods:
@@ -261,11 +278,12 @@ def image_instruction_counts(spec: FrameworkSpec) -> dict[int, int]:
                 synthetic[level] += live_callbacks + 1
             if live_deltas:
                 synthetic[level] += live_deltas + 1
-    table: dict[int, int] = {}
-    running = 0
+    table: dict[int, ImageCount] = {}
+    live_classes = running = 0
     for level in range(MIN_API_LEVEL, end):
+        live_classes += classes[level]
         running += fixed[level]
-        table[level] = running + synthetic[level]
+        table[level] = ImageCount(live_classes, running + synthetic[level])
     return table
 
 

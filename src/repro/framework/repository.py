@@ -2,15 +2,15 @@
 
 The repository is the single source of framework code for every
 analysis.  Lazy lookups (:meth:`load_class`) back SAINTDroid's CLVM;
-eager image loads (:meth:`load_image`) back the closed-world ablation
-(SAINTDroid-eager), image mining and parent-side level warming.  Both
-draw on one class cache, so repeated benchmark runs measure analysis
-behaviour, not regeneration cost — the *accounting* of what was
-loaded happens in each tool's metrics, not here.  Whole-framework
-baselines (CID) only need the image's size, which
-:meth:`image_instruction_count` reads from a per-level table counted
-from the spec in one pass on first use, without materializing
-anything.
+whole images (:meth:`load_image`) back ARM's image mining and
+parent-side level warming.  Both draw on one class cache, so repeated
+benchmark runs measure analysis behaviour, not regeneration cost —
+the *accounting* of what was loaded happens in each tool's metrics,
+not here.  Whole-framework loads — the closed-world ablation
+(SAINTDroid-eager) and CID — only need the image's size, which
+:meth:`image_class_count` and :meth:`image_instruction_count` read
+from a per-level table counted from the spec in one pass on first
+use, without materializing anything.
 """
 
 from __future__ import annotations
@@ -21,7 +21,7 @@ from ..apk.manifest import MAX_API_LEVEL, MIN_API_LEVEL
 from ..ir.clazz import Clazz
 from ..ir.types import ClassName, is_framework_class
 from .catalog import default_spec
-from .generator import image_instruction_counts, materialize_class
+from .generator import ImageCount, image_counts, materialize_class
 from .spec import FrameworkSpec
 
 __all__ = ["FrameworkCacheStats", "FrameworkRepository"]
@@ -65,7 +65,7 @@ class FrameworkRepository:
     def __init__(self, spec: FrameworkSpec | None = None) -> None:
         self._spec = spec if spec is not None else default_spec()
         self._class_cache: dict[tuple[int, ClassName], Clazz | None] = {}
-        self._image_units: dict[int, int] | None = None
+        self._image_counts: dict[int, ImageCount] | None = None
         self._dispatch_walks: dict[int, dict] = {}
         self.cache_stats = FrameworkCacheStats()
 
@@ -189,15 +189,19 @@ class FrameworkRepository:
             self.cache_stats.image_hits += 1
         return image
 
+    def _image_count(self, level: int) -> ImageCount:
+        """Size of the image at ``level``, counted from the spec for
+        every level at once (:func:`image_counts`) on first use, not by
+        materializing any image."""
+        self._check_level(level)
+        if self._image_counts is None:
+            self._image_counts = image_counts(self._spec)
+        return self._image_counts[level]
+
     def image_class_count(self, level: int) -> int:
-        return len(self.class_names(level))
+        return self._image_count(level).classes
 
     def image_instruction_count(self, level: int) -> int:
         """Total code size of the image — the memory-model cost a
-        whole-framework tool pays up front.  Counted from the spec for
-        every level at once (:func:`image_instruction_counts`) on
-        first use, not by materializing any image."""
-        self._check_level(level)
-        if self._image_units is None:
-            self._image_units = image_instruction_counts(self._spec)
-        return self._image_units[level]
+        whole-framework tool pays up front."""
+        return self._image_count(level).instructions

@@ -9,7 +9,7 @@ from repro.framework.catalog import build_spec, default_spec
 from repro.framework.generator import (
     DISPATCH_PREFIX,
     ENFORCEMENT_METHOD,
-    image_instruction_counts,
+    image_counts,
     materialize_class,
     materialize_image,
 )
@@ -109,27 +109,60 @@ class TestMaterializeImage:
                 assert method.body is None or method.body.terminates
 
 
+#: The default framework, and the smallest one the bulk sweep
+#: (``eval/sweep.py``) builds.
+SPECS = pytest.mark.parametrize(
+    "make_spec",
+    [default_spec, partial(build_spec, bulk_classes=500, seed=11)],
+    ids=["default", "sweep-500"],
+)
+
+
 class TestImageInstructionCounts:
     """The one-pass table must equal the materialized image exactly at
-    every level: CID's modeled framework units are read from it."""
+    every level: CID's and the eager ablation's modeled framework units
+    are read from it."""
 
-    @pytest.mark.parametrize(
-        "make_spec",
-        # The default framework, and the smallest one the bulk sweep
-        # (``eval/sweep.py``) builds.
-        [default_spec, partial(build_spec, bulk_classes=500, seed=11)],
-        ids=["default", "sweep-500"],
-    )
+    @SPECS
     def test_equals_materialized_image(self, make_spec):
         spec = make_spec()
-        table = image_instruction_counts(spec)
+        table = image_counts(spec)
         for level in range(MIN_API_LEVEL, MAX_API_LEVEL + 1):
-            assert table[level] == sum(
+            assert table[level].instructions == sum(
                 clazz.instruction_count
                 for clazz in materialize_image(spec, level).values()
             ), level
 
     def test_table_covers_every_modeled_level(self, spec):
-        assert sorted(image_instruction_counts(spec)) == list(
+        assert sorted(image_counts(spec)) == list(
             range(MIN_API_LEVEL, MAX_API_LEVEL + 1)
         )
+
+
+class TestImageClassCounts:
+    """The same table's class counts: the eager ablation's and CID's
+    per-class overhead are read from it."""
+
+    @SPECS
+    def test_equals_alive_classes_and_materialized_image(self, make_spec):
+        spec = make_spec()
+        table = image_counts(spec)
+        for level in range(MIN_API_LEVEL, MAX_API_LEVEL + 1):
+            assert table[level].classes == len(spec.class_names_at(level))
+            assert table[level].classes == len(
+                materialize_image(spec, level)
+            ), level
+
+
+class TestImageCountsGolden:
+    """The default framework's image sizes, pinned: method padding is a
+    CRC of the signature, so these hold in every interpreter.  A change
+    here changes every whole-framework cost the model charges."""
+
+    def test_default_spec_image_counts(self, spec):
+        table = image_counts(spec)
+        assert {level: tuple(table[level]) for level in (2, 23, 29)} == {
+            2: (673, 13141),
+            23: (1706, 105938),
+            29: (2033, 159028),
+        }

@@ -126,9 +126,6 @@ def _spawn_daemon(wal: Path, tmp_path: Path, tag: str):
             "PYTHONPATH": str(
                 Path(__file__).resolve().parents[2] / "src"
             ),
-            # Work accounting follows hash-dependent traversal order;
-            # pin the seed so fingerprints compare across processes.
-            "PYTHONHASHSEED": "0",
         },
     )
     line = _wait_for_line(proc, "serving on ", 90.0)
