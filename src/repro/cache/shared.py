@@ -6,7 +6,7 @@ start method they inherit the parent's built objects for free; on
 spawn platforms — and for any process that cannot inherit — this
 module publishes the substrate **once** into a
 :mod:`multiprocessing.shared_memory` segment and lets every worker
-(including the fresh pools of later retry rounds) *attach* instead of
+(including ones respawned after a worker death) *attach* instead of
 re-reading and re-mining:
 
 * the payload is pickled with **protocol 5** and out-of-band buffers
@@ -26,7 +26,7 @@ re-reading and re-mining:
 * cleanup is **guaranteed**: the publishing process unlinks the
   segment on ``close()``, on context-manager exit, and — covering
   SIGINT/exception paths — via an ``atexit`` guard.  Attaching
-  processes never unlink; a worker dying mid-chunk therefore cannot
+  processes never unlink; a worker dying mid-app therefore cannot
   take the segment away from its siblings, and an interrupted run
   cannot leak ``/dev/shm`` entries past interpreter exit.
 """
@@ -113,7 +113,7 @@ def _install_sigterm_guard() -> None:
 class SharedSubstrateHandle:
     """Everything a worker needs to attach: transport, address, key.
 
-    Picklable by design — it rides in the pool initializer args.
+    Picklable by design — it rides in each pool worker's start args.
     """
 
     kind: str  # "shm" | "file"

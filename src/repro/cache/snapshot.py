@@ -1,7 +1,7 @@
 """Framework snapshots: the substrate serialized once, loaded forever.
 
-Every corpus run (and every pool worker, and every retry round's
-fresh pool) needs the same two artifacts before it can analyze its
+Every corpus run (and every pool worker, a respawned one too)
+needs the same two artifacts before it can analyze its
 first app: the :class:`~repro.framework.repository.FrameworkRepository`
 and the :class:`~repro.core.apidb.ApiDatabase` mined from it.  Both
 are pure functions of the framework spec, so a snapshot materializes

@@ -294,9 +294,9 @@ def cached_database(spec: FrameworkSpec) -> ApiDatabase | None:
     """The already-built database for this exact spec object, if any.
 
     Keyed by object identity like :func:`build_api_database`'s memo:
-    under the fork start method a pool worker inherits the parent's
-    built database, and a retry round's fresh pool must reuse it
-    instead of re-mining.
+    under the fork start method a pool worker (a respawned one too)
+    inherits the parent's built database and must reuse it instead of
+    re-mining.
     """
     return _cached(spec)
 

@@ -17,8 +17,8 @@ Fault kinds mirror the operational taxonomy
   (→ ``ErrorKind.TIMEOUT``, retryable);
 * ``worker-death`` — the worker process exits abruptly
   (→ ``ErrorKind.WORKER_LOST``, retryable).  In pool workers this is
-  a real ``os._exit`` (the parent observes a broken pool); in serial
-  runs it is simulated with a raised
+  a real ``os._exit`` (the parent sees the worker die and respawns
+  its slot); in serial runs it is simulated with a raised
   :class:`~repro.core.errors.WorkerLostError`.
 
 ``fail_attempts`` makes a fault *transient*: it fires only while the
@@ -216,8 +216,8 @@ class FaultPlan:
         Crash and corrupt faults are permanent (they are non-retryable
         anyway); worker-death faults are always transient
         (``fail_attempts=1`` — one retry recovers the app, and a
-        *permanent* worker killer would also take collateral chunk
-        neighbours with it on every round); hangs are transient except
+        *permanent* worker killer would respawn a worker on every
+        attempt until the budget is spent); hangs are transient except
         for a ``permanent_hang_fraction`` share, which must exhaust
         the retry budget and be quarantined as timeouts.
         """

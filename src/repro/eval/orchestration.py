@@ -2,15 +2,16 @@
 engine behind both schedulers.
 
 :func:`run_corpus` owns everything that used to be duplicated between
-the serial loop and the parallel rounds engine — checkpoint restore,
+the serial loop and the process pool — checkpoint restore,
 persistent-cache lookup and write-back, retry rounds with bounded
 backoff, quarantine, journaling, progress, and corpus-order assembly.
 A scheduler is reduced to a :class:`CorpusBackend` that answers one
 question: *how does one round of pending apps get analyzed?*  The
 serial backend walks them in order in-process; the pool backend
-(:class:`repro.eval.parallel.PoolBackend`) fans them out over worker
-processes.  Everything else — and therefore every fingerprint-relevant
-decision — is this module, once.
+(:class:`repro.eval.parallel.PoolBackend`) fans them out over resident
+worker processes, for :func:`run_corpus` and for the daemon's
+:func:`run_stream` alike.  Everything else — and therefore every
+fingerprint-relevant decision — is this module, once.
 
 Scheduling works in *rounds*.  Round 0 covers the whole pending
 corpus.  If anything failed retryably (timeout, worker-lost,

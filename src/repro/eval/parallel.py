@@ -1,160 +1,93 @@
-"""Parallel corpus-analysis engine.
+"""Parallel corpus analysis: one supervised process pool.
 
 Large-scale studies vet thousands of apps; analyzing them strictly
 serially throws away both hardware parallelism and the fact that every
 per-app analysis shares the same immutable substrate (framework spec,
-API database).  This module schedules a corpus over a process pool:
+API database).  :class:`PoolBackend` is the only process pool in the
+package: ``run_tools(jobs=N)`` (so ``table``, ``rq2``, ``figure``,
+``difftest`` and ``compare``) and the ``serve`` daemon both run on it.
 
 * **shared substrate** — the parent prepares the substrate exactly
-  once per run (framework repository with the corpus's levels
-  pre-warmed, mined API database, optional framework summary table)
-  and every worker *attaches* instead of rebuilding: under fork the
-  prepared objects are inherited as copy-on-write pages; elsewhere a
-  protocol-5 :class:`~repro.cache.shared.SharedSubstrate` segment is
-  published once and mapped by each worker — including the fresh
-  pools of later retry rounds;
+  once (framework repository with the pending apps' levels pre-warmed,
+  mined API database, optional framework summary table) *before* it
+  forks the workers; under fork every worker inherits the prepared
+  objects as copy-on-write pages, elsewhere a protocol-5
+  :class:`~repro.cache.shared.SharedSubstrate` segment is published
+  once and mapped by each worker;
 * **worker bootstrap** — each worker resolves the substrate through a
   cheapest-first ladder (inherited parent substrate → in-process
-  build memo → shared segment → snapshot file → mine from the spec)
-  in its initializer; every app the worker analyzes afterwards hits
-  the worker-local framework class cache and database memo tables;
-* **chunked scheduling** — work goes to workers in contiguous chunks
-  to amortize per-task dispatch while keeping the pool busy; under
-  fork a chunk carries corpus indices only, and each worker reads the
-  apps from the round's app map it inherited (elsewhere the apps
-  themselves are pickled into the chunk);
+  build memo → shared segment → snapshot file → mine from the spec);
+  every app it analyzes afterwards hits the worker-local framework
+  class cache and database memo tables;
+* **per-slot workers** — each slot is one forked process with a
+  private duplex pipe and a heartbeat cell; a worker loops
+  ``recv task → analyze_app → send result`` for the life of the pool,
+  one app per task, and the parent hands a task only to an idle
+  worker;
+* **app shipping** — in a batch run the parent publishes the pending
+  apps as an ``{index: app}`` map before the workers fork and keeps it
+  until :meth:`PoolBackend.close`, so every forked worker (a respawned
+  one too) already holds them and tasks carry the index only.  The
+  daemon's pool forks before any job exists, and spawned workers
+  inherit nothing: their tasks carry the app;
 * **failure isolation** — a crashing or timed-out app yields an
   :class:`~repro.eval.runner.AppResult` with a structured
-  :class:`~repro.core.errors.AnalysisError`, never a dead run; a
-  dying worker process poisons only the chunks it held, and the
-  engine rebuilds the pool and carries on;
-* **retry + quarantine** — retryable failures (timeout, worker-lost,
-  resource) are re-dispatched individually, each on a fresh round's
-  pool, up to ``max_retries`` times with bounded backoff; apps that
-  exhaust the budget are quarantined with their final error record;
-* **checkpoint/resume** — with a journal attached, every finalized
-  result is appended to JSONL as it completes; a killed run resumes
-  by skipping journaled indices and reproduces the uninterrupted
-  run's fingerprint;
-* **deterministic ordering** — results are reassembled in corpus
-  order, and per-app computation is the exact
-  :func:`~repro.eval.runner.analyze_app` the serial loop uses, so a
-  parallel run's :meth:`RunResults.fingerprint` is identical to a
-  serial run's.
+  :class:`~repro.core.errors.AnalysisError`, never a dead run.  A
+  **dead** worker (injected ``worker-death``, an OOM kill, ``kill
+  -9``) or a **hung** one (busy past the hang deadline, when one is
+  set) costs exactly the app it was analyzing: that app gets a
+  retryable ``worker-lost`` record and the slot is **respawned in
+  place**, so the pool never shrinks and no other worker's app is
+  disturbed;
+* **exactly once** — results are matched on ``(index, attempt)``
+  with a done-set, so a synthesized loss and a late real result can
+  never both be delivered;
+* **deterministic ordering** — per-app computation is the exact
+  :func:`~repro.eval.runner.analyze_app` the serial loop uses, and
+  the engine restores corpus order, so a pooled run's
+  :meth:`RunResults.fingerprint` is identical to a serial run's.
 
-The engine is reached through ``run_tools(apps, jobs=N)`` or the
-``--jobs`` CLI flag; it has no public surface beyond
-:class:`ParallelConfig`, :class:`PoolBackend`, and
-:func:`run_tools_parallel`.  The retry/quarantine/checkpoint/cache
-envelope is NOT implemented here: it lives — once, shared verbatim
-with the serial scheduler — in :mod:`repro.eval.orchestration`.  This
-module contributes only the scheduling backend: worker bootstrap,
-chunked dispatch, and broken-pool recovery.
-
-Scheduling works in *rounds*.  Round 0 fans the whole corpus out in
-contiguous chunks over one pool.  If anything retryable failed, round
-``r`` re-dispatches those apps as single-app tasks on a **fresh**
-pool — a new pool per round is what makes worker death survivable at
-all: a dead process breaks its ``ProcessPoolExecutor`` beyond reuse,
-so every future still in flight is drained (synthesized as
-``worker-lost``, retryable), the broken pool is discarded, and the
-next round starts clean.  A fault-free run takes exactly one round
-and one pool — the tolerance machinery costs nothing until something
-actually breaks.  Under fork, each round sets its app map before its
-pool forks, so a retry round's fresh workers inherit exactly the apps
-they are sent indices for; worker-lost records are built from the
-parent's full entries.
+The retry/quarantine/checkpoint/cache envelope is NOT implemented
+here: it lives — once, shared verbatim with the serial scheduler — in
+:mod:`repro.eval.orchestration` (:func:`run_corpus` for a fixed
+corpus, :func:`run_stream` for the daemon).  This module contributes
+only the scheduling backend.  A retry round re-dispatches its apps to
+the same resident workers; a fault-free run forks each worker once.
 """
 
 from __future__ import annotations
 
 import multiprocessing
 import os
-from concurrent.futures import ProcessPoolExecutor, as_completed
+import time
+from collections import deque
 from dataclasses import dataclass
-from pathlib import Path
-from typing import TYPE_CHECKING, Callable, Iterable
+from multiprocessing import connection
+from typing import TYPE_CHECKING
 
 from ..core.arm import build_api_database, cached_database, register_database
 from ..core.errors import AnalysisError, AnalysisPhase, ErrorKind
 from ..framework.repository import FrameworkCacheStats, FrameworkRepository
 from ..framework.spec import FrameworkSpec
 from ..workload.appgen import ForgedApp
-from .orchestration import CorpusBackend, run_corpus
-from .runner import (
-    AppResult,
-    DEFAULT_TOOLS,
-    RunResults,
-    ToolSet,
-    analyze_app,
-)
+from .orchestration import CorpusBackend, Entry
+from .runner import AppResult, DEFAULT_TOOLS, ToolSet, analyze_app
 
 if TYPE_CHECKING:  # pragma: no cover — import cycle guard
     from .faults import FaultPlan
 
-__all__ = ["ParallelConfig", "PoolBackend", "run_tools_parallel"]
-
-#: One work item: corpus index, the app, and its 0-based attempt.
-#: Chunks shipped to forked workers carry ``None`` for the app.
-_Entry = tuple[int, ForgedApp, int]
-
-
-@dataclass(frozen=True)
-class ParallelConfig:
-    """Knobs for one parallel run."""
-
-    #: Worker process count.
-    jobs: int = 2
-    #: Apps per pool task; ``None`` picks a size that gives each
-    #: worker several chunks (load balancing) without making tasks so
-    #: small that per-task dispatch dominates.
-    chunk_size: int | None = None
-    #: Per-app wall-clock budget (enforced inside workers).
-    timeout_s: float | None = None
-    #: Tool names each worker instantiates.
-    include: tuple[str, ...] = DEFAULT_TOOLS
-    #: Re-attempts for retryable failures (timeout, worker-lost,
-    #: resource) before an app is quarantined.  Each retry is a
-    #: single-app task on a fresh round's pool.
-    max_retries: int = 0
-    #: Base of the bounded exponential backoff slept between retry
-    #: rounds (0 = retry immediately).
-    retry_backoff_s: float = 0.0
-    #: Injected faults for chaos testing (None in production runs).
-    fault_plan: "FaultPlan | None" = None
-    #: Persistent cache directory (:mod:`repro.cache`); ``None``
-    #: disables both the result cache and framework snapshots.
-    cache_dir: str | None = None
-    #: Bound the CLVM at the framework boundary with whole-framework
-    #: pre-summaries (same findings as lazy; parity-tested).
-    summaries: bool = False
-    #: Delta analysis against the corpus-wide class-artifact store
-    #: (same findings as lazy; parity-tested).  The store lives under
-    #: ``cache_dir`` so workers share it across rounds and runs.
-    dedup: bool = False
-
-    def resolved_chunk_size(self, corpus_size: int) -> int:
-        if self.chunk_size is not None:
-            return max(1, self.chunk_size)
-        per_worker = corpus_size / max(1, self.jobs)
-        return max(1, min(16, round(per_worker / 4) or 1))
+__all__ = ["PoolBackend"]
 
 
 # -- worker side -----------------------------------------------------------
 
-#: One tool set per worker process, built by the pool initializer and
-#: reused for every chunk the worker receives — this is where the
-#: cross-app framework/database caches live.
-_WORKER_TOOLSET: ToolSet | None = None
-#: The run's fault plan, shipped once via the initializer.
-_WORKER_FAULTS: "FaultPlan | None" = None
-#: The substrate the parent prepared before forking the pool; workers
+#: The substrate the parent prepared before forking its workers; they
 #: inherit it as copy-on-write pages and skip every rebuild path.
 _PARENT_SUBSTRATE: "tuple[FrameworkRepository, object] | None" = None
-#: The current round's apps by corpus index, set by the parent just
-#: before the round's pool forks and cleared once the round is
-#: drained.  Forked workers inherit it and are sent indices only.
-_ROUND_APPS: dict[int, ForgedApp] = {}
+#: A batch run's apps by corpus index, set by the parent before its
+#: workers fork and cleared by ``close()``.  Forked workers (respawned
+#: ones too) inherit it and are sent indices only.
+_APPS: dict[int, ForgedApp] = {}
 #: The shared segment this worker attached (kept open for the process
 #: lifetime: the decoded payload may reference the mapped pages).
 _WORKER_SEGMENT = None
@@ -163,22 +96,24 @@ _WORKER_SEGMENT = None
 def _init_worker(
     spec: FrameworkSpec,
     include: tuple[str, ...],
-    fault_plan: "FaultPlan | None" = None,
     snapshot_file: str | None = None,
     shared_handle=None,
     summaries: bool = False,
     cache_dir: str | None = None,
     dedup: bool = False,
-) -> None:
-    global _WORKER_TOOLSET, _WORKER_FAULTS, _WORKER_SEGMENT
+) -> ToolSet:
+    """Resolve the substrate and build this worker's tool set, which
+    every app the worker analyzes reuses — this is where the cross-app
+    framework/database caches live."""
+    global _WORKER_SEGMENT
     # Substrate resolution order, cheapest first:
     #
     # 1. the parent-prepared substrate — under the fork start method
-    #    every worker (in *every* round's fresh pool) inherits the
-    #    parent's pre-warmed repository and mined database as
-    #    copy-on-write pages: zero per-worker rebuild cost;
-    # 2. the in-process build memo (fork, parent built but did not
-    #    call prepare — e.g. a retry pool after close());
+    #    every worker (a respawned one too) inherits the parent's
+    #    pre-warmed repository and mined database as copy-on-write
+    #    pages: zero per-worker rebuild cost;
+    # 2. the in-process build memo (fork, parent built the database
+    #    but published no substrate);
     # 3. the shared-memory substrate segment (spawn platforms, one
     #    deserialization instead of a re-mine + disk read per worker);
     # 4. the on-disk framework snapshot;
@@ -224,7 +159,7 @@ def _init_worker(
     # but the accounting must cover only this worker's activity.
     apidb.reset_cache_counters()
     framework.cache_stats = FrameworkCacheStats()
-    _WORKER_TOOLSET = ToolSet.default(
+    return ToolSet.default(
         framework,
         apidb,
         include=include,
@@ -233,41 +168,56 @@ def _init_worker(
         dedup=dedup,
         dedup_dir=cache_dir,
     )
-    _WORKER_FAULTS = fault_plan
 
 
-def _analyze_chunk(
-    chunk: list[_Entry],
-    timeout_s: float | None,
-) -> tuple[int, list[tuple[int, AppResult]], dict]:
-    """Analyze one chunk in this worker; returns results tagged with
-    their corpus indices plus the worker's cumulative cache stats."""
-    toolset = _WORKER_TOOLSET
-    if toolset is None:  # pragma: no cover — initializer always ran
-        raise RuntimeError("worker initialized without a tool set")
-    out = []
-    for index, forged, attempt in chunk:
+def _worker_main(conn, heartbeat, slot: int, *bootstrap) -> None:
+    """One pool worker: bootstrap the substrate (``bootstrap`` is
+    :func:`_init_worker`'s arguments), then serve tasks off the pipe
+    until the ``None`` sentinel (or pipe loss)."""
+    import signal as _signal
+
+    # The daemon's drain handler belongs to the parent; a worker that
+    # inherited it must die plainly when terminated.
+    try:
+        _signal.signal(_signal.SIGTERM, _signal.SIG_DFL)
+    except (ValueError, OSError):  # pragma: no cover
+        pass
+    toolset = _init_worker(*bootstrap)
+    heartbeat[slot] = time.time()
+    parent = os.getppid()
+    while True:
+        try:
+            # A plain blocking recv() would wedge forever if the
+            # parent is SIGKILLed: forked siblings inherit each
+            # other's parent-end pipe fds, so EOF never arrives.
+            # Poll with a deadline and watch for reparenting instead.
+            while not conn.poll(1.0):
+                if os.getppid() != parent:  # orphaned by kill -9
+                    return
+            task = conn.recv()
+        except (EOFError, OSError):  # parent died or closed the pipe
+            return
+        if task is None:
+            return
+        index, forged, attempt, timeout_s, fault = task
         if forged is None:
-            forged = _ROUND_APPS[index]
-        fault = (
-            _WORKER_FAULTS.fault_for(index)
-            if _WORKER_FAULTS is not None
-            else None
+            forged = _APPS[index]
+        heartbeat[slot] = time.time()
+        result = analyze_app(
+            toolset,
+            forged,
+            timeout_s=timeout_s,
+            fault=fault,
+            attempt=attempt,
+            allow_process_death=True,
         )
-        out.append(
-            (
-                index,
-                analyze_app(
-                    toolset,
-                    forged,
-                    timeout_s=timeout_s,
-                    fault=fault,
-                    attempt=attempt,
-                    allow_process_death=True,
-                ),
+        heartbeat[slot] = time.time()
+        try:
+            conn.send(
+                (os.getpid(), index, attempt, result, toolset.cache_stats())
             )
-        )
-    return os.getpid(), out, toolset.cache_stats()
+        except (BrokenPipeError, OSError):  # pragma: no cover
+            return
 
 
 # -- parent side -----------------------------------------------------------
@@ -282,14 +232,13 @@ def _pool_context():
 
 
 def _worker_lost_results(
-    chunk: list[_Entry], exc: BaseException
+    entries: list[Entry], exc: BaseException
 ) -> list[tuple[int, AppResult]]:
-    """Synthesize failure records when a whole worker task died (the
-    worker process was killed, or the task could not complete): the
-    run continues, the chunk's apps are recorded as ``worker-lost``
+    """Synthesize failure records for entries whose worker died or
+    hung: the run continues, the apps are recorded as ``worker-lost``
     and — being retryable — re-dispatched if budget remains."""
     out = []
-    for index, forged, attempt in chunk:
+    for index, forged, attempt in entries:
         error = AnalysisError(
             kind=ErrorKind.WORKER_LOST,
             phase=AnalysisPhase.TOOL,
@@ -389,78 +338,73 @@ def _merge_cache_stats(snapshots: dict[int, dict]) -> dict:
     return merged
 
 
-def _run_round(
-    chunks: list[list[_Entry]],
-    spec: FrameworkSpec,
-    config: ParallelConfig,
-    worker_stats: dict[int, dict],
-    snapshot_file: str | None,
-    shared_handle,
-    *,
-    ship_apps: bool,
-) -> list[tuple[_Entry, AppResult]]:
-    """Dispatch one round's chunks over a fresh pool and drain every
-    future — including the ones a dying worker broke.  Without
-    ``ship_apps`` the chunks go out as indices only, and the workers
-    must have inherited ``_ROUND_APPS``."""
-    entry_by_index = {
-        entry[0]: entry for chunk in chunks for entry in chunk
-    }
-    out: list[tuple[_Entry, AppResult]] = []
-    with ProcessPoolExecutor(
-        max_workers=config.jobs,
-        mp_context=_pool_context(),
-        initializer=_init_worker,
-        initargs=(
-            spec,
-            config.include,
-            config.fault_plan,
-            snapshot_file,
-            shared_handle,
-            config.summaries,
-            config.cache_dir,
-            config.dedup,
-        ),
-    ) as pool:
-        # Each future maps to the parent's full entries: a worker-lost
-        # record needs the app, which an index-only chunk does not carry.
-        futures = {
-            pool.submit(
-                _analyze_chunk,
-                chunk if ship_apps else [
-                    (index, None, attempt) for index, _, attempt in chunk
-                ],
-                config.timeout_s,
-            ): chunk
-            for chunk in chunks
-        }
-        for future in as_completed(futures):
-            chunk = futures[future]
-            try:
-                pid, results, snapshot = future.result()
-            except Exception as exc:  # noqa: BLE001 — isolate the chunk
-                # BrokenProcessPool lands here for the chunk whose
-                # worker died *and* for every chunk still queued on
-                # the now-broken pool; all of them come back as
-                # retryable worker-lost records.
-                results = _worker_lost_results(chunk, exc)
-            else:
-                worker_stats[pid] = snapshot
-            for index, result in results:
-                out.append((entry_by_index[index], result))
-    return out
+def _pending_levels(pending) -> list[int]:
+    """The framework levels the pending apps target, sorted."""
+    levels: set[int] = set()
+    for _index, forged, _attempt in pending:
+        try:
+            levels.add(forged.apk.manifest.effective_max_sdk)
+        except Exception:  # noqa: BLE001 — hostile app: its own
+            continue  # analysis will record the failure, not prep
+    return sorted(levels)
+
+
+#: How long one drain waits for a worker's answer before the parent
+#: checks liveness and hang deadlines again.
+_DRAIN_POLL_S = 0.05
+
+
+@dataclass
+class _Worker:
+    process: object
+    conn: object
 
 
 class PoolBackend(CorpusBackend):
-    """Process-pool scheduler: fresh pool per round, chunked round 0,
-    single-app retry rounds."""
+    """Supervised resident worker pool: one forked process per slot,
+    respawned in place when it dies or hangs."""
 
-    def __init__(self, spec: FrameworkSpec, config: ParallelConfig) -> None:
+    def __init__(
+        self,
+        spec: FrameworkSpec,
+        *,
+        workers: int = 2,
+        include: tuple[str, ...] = DEFAULT_TOOLS,
+        timeout_s: float | None = None,
+        hang_timeout_s: float | None = 30.0,
+        summaries: bool = False,
+        cache_dir: str | None = None,
+        dedup: bool = False,
+        fault_plan: "FaultPlan | None" = None,
+    ) -> None:
         self._spec = spec
-        self._config = config
+        self.workers = max(1, workers)
+        self.include = tuple(include)
+        #: Per-app wall-clock budget, enforced inside the worker.
+        self.timeout_s = timeout_s
+        #: Parent-side backstop on top of ``timeout_s`` before a busy
+        #: worker is declared hung and replaced; ``None`` never kills.
+        self.hang_timeout_s = hang_timeout_s
+        self.summaries = summaries
+        self.cache_dir = cache_dir
+        self.dedup = dedup
+        self.fault_plan = fault_plan
+        self._ctx = _pool_context()
+        self._heartbeat = self._ctx.Array("d", self.workers, lock=False)
+        self._pool: list[_Worker | None] = [None] * self.workers
+        #: The entry each busy slot is analyzing, and when it was sent.
+        self._inflight: dict[int, tuple[Entry, float]] = {}
         self._worker_stats: dict[int, dict] = {}
+        #: The apps published to forked workers by index.
+        self._apps: dict[int, ForgedApp] = {}
         self._snapshot_file: str | None = None
         self._segment = None
+        self._started = False
+        self._closed = False
+        self.restarts = 0
+        self.substrate_source: str | None = None
+
+    # -- CorpusBackend surface -----------------------------------------
 
     @property
     def spec(self) -> FrameworkSpec:
@@ -468,118 +412,33 @@ class PoolBackend(CorpusBackend):
 
     @property
     def tool_names(self) -> tuple[str, ...]:
-        return self._config.include
+        return self.include
 
     def config_options(self) -> dict:
         options: dict = {}
-        if self._config.summaries:
+        if self.summaries:
             options["summaries"] = True
-        if self._config.dedup:
+        if self.dedup:
             options["dedup"] = True
         return options
 
     def prepare(self, cache_dir, pending=()) -> None:
-        # Prepare the substrate ONCE in the parent — repository with
-        # every pending framework level pre-warmed, mined database,
-        # and (when enabled) the framework summary table — so that
-        # under fork every worker of every round — including retry
-        # rounds' fresh pools — inherits the finished substrate as
-        # copy-on-write pages instead of rebuilding its own.  Non-fork
-        # start methods get the same substrate through a shared-memory
-        # segment published here and attached by each initializer,
-        # with the snapshot file as the final fallback.
-        from ..cache.snapshot import load_or_build_substrate
-
-        global _PARENT_SUBSTRATE
-        framework, apidb, _source = load_or_build_substrate(
-            self._config.cache_dir, self._spec
-        )
-        register_database(self._spec, apidb)
-        if self._config.cache_dir is not None:
-            from ..cache import ensure_snapshot
-
-            self._snapshot_file = str(
-                ensure_snapshot(self._config.cache_dir, framework, apidb)
-            )
-        levels: set[int] = set()
-        for _index, forged, _attempt in pending:
-            try:
-                levels.add(forged.apk.manifest.effective_max_sdk)
-            except Exception:  # noqa: BLE001 — hostile app: its own
-                continue  # analysis will record the failure, not prep
-        levels = sorted(levels)
-        for level in levels:
-            try:
-                framework.warm_level(level)
-            except ValueError:  # level outside the modeled range
-                continue
-        if self._config.summaries:
-            from ..analysis.fwsummaries import summary_table
-
-            table = summary_table(
-                framework, apidb, store_dir=self._config.cache_dir
-            )
-            for level in levels:
-                try:
-                    table.level_summaries(level)
-                except ValueError:  # pragma: no cover — range-checked
-                    continue
-        _PARENT_SUBSTRATE = (framework, apidb)
-        if (
-            _pool_context().get_start_method() != "fork"
-            or os.environ.get("REPRO_FORCE_SHARED_SUBSTRATE")
-        ):
-            from ..cache import fingerprint_spec
-            from ..cache.shared import SharedSubstrate
-            from ..cache.snapshot import substrate_payload
-
-            key = fingerprint_spec(self._spec)
-            self._segment = SharedSubstrate.publish(
-                substrate_payload(framework, apidb, key), key
-            )
-
-    def run_round(
-        self, pending: list[_Entry], round_no: int
-    ) -> list[tuple[_Entry, AppResult]]:
-        config = self._config
-        if round_no == 0:
-            chunk_size = config.resolved_chunk_size(len(pending))
-        else:
-            # Retry rounds: single-app re-dispatch on a fresh pool.
-            chunk_size = 1
-        chunks = [
-            pending[start:start + chunk_size]
-            for start in range(0, len(pending), chunk_size)
-        ]
-        # Under fork the round's pool inherits the parent's memory, so
-        # the apps need not be pickled: publish them by index before
-        # the pool forks and send indices.  Other start methods can
-        # only receive the apps themselves.
-        global _ROUND_APPS
-        ship_apps = _pool_context().get_start_method() != "fork"
-        if not ship_apps:
-            _ROUND_APPS = {index: forged for index, forged, _ in pending}
-        try:
-            return _run_round(
-                chunks, self._spec, config, self._worker_stats,
-                self._snapshot_file,
-                self._segment.handle if self._segment is not None else None,
-                ship_apps=ship_apps,
-            )
-        finally:
-            _ROUND_APPS = {}
+        # A batch run starts the pool here, once the work list is
+        # known; the daemon has started it already and this is a no-op.
+        self.start(pending=pending)
 
     def finish(self, cache_dir) -> dict:
-        merged = _merge_cache_stats(self._worker_stats)
-        if self._config.dedup and self._config.cache_dir is not None:
-            # Workers write artifacts atomically but save the shared
-            # manifest last-writer-wins; the parent adopts anything the
-            # surviving manifest missed and enforces the byte budget.
+        merged = self.cache_stats()
+        if self.dedup and self.cache_dir is not None:
+            # Workers write class artifacts atomically but save the
+            # shared manifest last-writer-wins; the parent adopts
+            # anything the surviving manifest missed and enforces the
+            # byte budget.
             from ..cache import fingerprint_config, fingerprint_spec
             from ..cache.classes import CLASS_ARTIFACT_VERSION, class_store
 
             store = class_store(
-                self._config.cache_dir,
+                self.cache_dir,
                 framework_fingerprint=fingerprint_spec(self._spec),
                 config_fingerprint=fingerprint_config(
                     ("SAINTDroid",), {"classes": CLASS_ARTIFACT_VERSION}
@@ -588,13 +447,151 @@ class PoolBackend(CorpusBackend):
             store.flush()
         return merged
 
+    def cache_stats(self) -> dict:
+        """Merged per-worker cache statistics (latest snapshot per
+        pid) without the flush side effects of :meth:`finish` — the
+        ``/statsz`` read path."""
+        return _merge_cache_stats(self._worker_stats)
+
+    # -- lifecycle -----------------------------------------------------
+
+    def start(
+        self,
+        substrate: "tuple[FrameworkRepository, object] | None" = None,
+        pending=(),
+    ) -> None:
+        """Load (or adopt) the substrate once, warm the framework
+        levels the ``pending`` entries target, publish substrate and
+        apps to the workers, and fork the pool.  Idempotent."""
+        if self._started:
+            return
+        if substrate is None:
+            from ..cache.snapshot import load_or_build_substrate
+
+            framework, apidb, source = load_or_build_substrate(
+                self.cache_dir, self._spec
+            )
+        else:
+            framework, apidb = substrate
+            source = "provided"
+        self.substrate_source = source
+        register_database(self._spec, apidb)
+        if self.cache_dir is not None:
+            from ..cache import ensure_snapshot
+
+            self._snapshot_file = str(
+                ensure_snapshot(self.cache_dir, framework, apidb)
+            )
+        levels = _pending_levels(pending)
+        for level in levels:
+            try:
+                framework.warm_level(level)
+            except ValueError:  # level outside the modeled range
+                continue
+        if self.summaries:
+            from ..analysis.fwsummaries import summary_table
+
+            # Materialize the table parent-side so forked workers
+            # inherit it as copy-on-write pages.
+            table = summary_table(
+                framework, apidb, store_dir=self.cache_dir
+            )
+            for level in levels:
+                try:
+                    table.level_summaries(level)
+                except ValueError:  # pragma: no cover — range-checked
+                    continue
+        global _PARENT_SUBSTRATE, _APPS
+        _PARENT_SUBSTRATE = (framework, apidb)
+        fork = self._ctx.get_start_method() == "fork"
+        if fork:
+            self._apps = {index: forged for index, forged, _ in pending}
+            _APPS = self._apps
+        # Non-fork workers (and chaos runs forcing the segment path)
+        # attach a shared segment instead of inheriting the substrate.
+        if not fork or os.environ.get("REPRO_FORCE_SHARED_SUBSTRATE"):
+            from ..cache import fingerprint_spec
+            from ..cache.shared import SharedSubstrate
+            from ..cache.snapshot import substrate_payload
+
+            key = fingerprint_spec(self._spec)
+            self._segment = SharedSubstrate.publish(
+                substrate_payload(framework, apidb, key), key
+            )
+        for slot in range(self.workers):
+            self._spawn(slot)
+        self._started = True
+
+    def _spawn(self, slot: int) -> None:
+        parent_conn, child_conn = self._ctx.Pipe(duplex=True)
+        process = self._ctx.Process(
+            target=_worker_main,
+            args=(
+                child_conn,
+                self._heartbeat,
+                slot,
+                self._spec,
+                self.include,
+                self._snapshot_file,
+                self._segment.handle if self._segment is not None else None,
+                self.summaries,
+                self.cache_dir,
+                self.dedup,
+            ),
+            daemon=True,
+        )
+        process.start()
+        child_conn.close()
+        self._pool[slot] = _Worker(process=process, conn=parent_conn)
+
+    def _respawn(self, slot: int) -> None:
+        worker = self._pool[slot]
+        if worker is not None:
+            try:
+                worker.conn.close()
+            except OSError:  # pragma: no cover
+                pass
+            if worker.process.is_alive():
+                worker.process.kill()
+            worker.process.join(timeout=5.0)
+        self.restarts += 1
+        self._spawn(slot)
+
     def close(self) -> None:
-        # Guaranteed teardown (run_corpus calls this from a finally,
-        # and SharedSubstrate has its own atexit guard on top): the
-        # published segment is unlinked exactly once, and the parent
-        # substrate reference is dropped so a later run with a
-        # different spec cannot see a stale one.
-        global _PARENT_SUBSTRATE
+        """Stop every worker and release what the pool published (the
+        app map, the parent substrate, the shared segment).  Idempotent
+        and safe mid-round or before :meth:`start`: the engines call
+        it from a ``finally``."""
+        if self._closed:
+            return
+        self._closed = True
+        for worker in self._pool:
+            if worker is None:
+                continue
+            try:
+                worker.conn.send(None)
+            except (BrokenPipeError, OSError):
+                pass
+        for worker in self._pool:
+            if worker is None:
+                continue
+            worker.process.join(timeout=1.0)
+            if worker.process.is_alive():
+                worker.process.terminate()
+                worker.process.join(timeout=1.0)
+            if worker.process.is_alive():  # pragma: no cover — stuck
+                worker.process.kill()
+                worker.process.join(timeout=1.0)
+            try:
+                worker.conn.close()
+            except OSError:  # pragma: no cover
+                pass
+        self._pool = [None] * self.workers
+        self._inflight.clear()
+        global _PARENT_SUBSTRATE, _APPS
+        if _APPS is self._apps:
+            _APPS = {}
+        self._apps = {}
         if self._segment is not None:
             self._segment.close(unlink=True)
             self._segment = None
@@ -604,32 +601,160 @@ class PoolBackend(CorpusBackend):
         ):
             _PARENT_SUBSTRATE = None
 
+    # -- dispatch ------------------------------------------------------
 
-def run_tools_parallel(
-    apps: Iterable[ForgedApp],
-    spec: FrameworkSpec,
-    config: ParallelConfig,
-    *,
-    progress: Callable[[str], None] | None = None,
-    checkpoint: str | Path | None = None,
-) -> RunResults:
-    """Analyze ``apps`` over a pool of ``config.jobs`` workers.
+    def _hang_deadline(self) -> float | None:
+        # analyze_app enforces timeout_s inside the worker, so a
+        # healthy worker answers within roughly one timeout; the hang
+        # deadline is the backstop for a truly wedged process.
+        if self.hang_timeout_s is None:
+            return None
+        return (self.timeout_s or 0.0) + self.hang_timeout_s
 
-    Results are returned in corpus order whatever order workers finish
-    in; every app yields exactly one :class:`AppResult`, failed or
-    not.  The retry/quarantine/checkpoint/cache envelope is
-    :func:`repro.eval.orchestration.run_corpus` — shared verbatim with
-    the serial scheduler; this function only supplies the pool
-    backend.
-    """
-    backend = PoolBackend(spec, config)
-    return run_corpus(
-        apps,
-        backend,
-        max_retries=config.max_retries,
-        retry_backoff_s=config.retry_backoff_s,
-        fault_plan=config.fault_plan,
-        checkpoint=checkpoint,
-        cache_dir=config.cache_dir,
-        progress=progress,
-    )
+    def _task(self, entry: Entry) -> tuple:
+        """The message one entry travels as: a forked worker already
+        holds a published app, so only its index goes over the pipe."""
+        index, forged, attempt = entry
+        fault = (
+            self.fault_plan.analysis_fault_for(index)
+            if self.fault_plan is not None
+            else None
+        )
+        if index in self._apps:
+            forged = None
+        return (index, forged, attempt, self.timeout_s, fault)
+
+    def run_round(
+        self, pending: list[Entry], round_no: int
+    ) -> list[tuple[Entry, AppResult]]:
+        """Dispatch one round (a batch round or a daemon micro-batch)
+        over the resident pool, surviving worker death and hangs
+        without losing a single entry."""
+        if not self._started:
+            self.start()
+        out: list[tuple[Entry, AppResult]] = []
+        todo: deque[Entry] = deque(pending)
+        done: set[tuple[int, int]] = set()
+        deadline = self._hang_deadline()
+
+        def _settle(entry: Entry, result: AppResult) -> None:
+            key = (entry[0], entry[2])
+            if key in done:
+                return
+            done.add(key)
+            out.append((entry, result))
+
+        def _receive(slot: int, message) -> None:
+            pid, index, attempt, result, stats = message
+            entry, _t0 = self._inflight.pop(slot)
+            self._worker_stats[pid] = stats
+            if (index, attempt) != (entry[0], entry[2]):
+                # A stale answer (unreachable with a fresh pipe per
+                # respawn): drop it, re-dispatch the held entry.
+                todo.append(entry)
+                return
+            _settle(entry, result)
+
+        def _lose(slot: int, exc: BaseException) -> None:
+            # Charge the app the worker was on, then replace it.
+            held = self._inflight.pop(slot, None)
+            if held is not None:
+                entry, _t0 = held
+                for _index, result in _worker_lost_results([entry], exc):
+                    _settle(entry, result)
+            self._respawn(slot)
+
+        while len(out) < len(pending):
+            # 1. Feed idle workers, one task each: a busy worker reads
+            #    nothing, so a second task could block the parent's
+            #    send() for as long as that worker's app runs.
+            for slot, worker in enumerate(self._pool):
+                if not todo:
+                    break
+                if worker is None or slot in self._inflight:
+                    continue
+                if not worker.process.is_alive():
+                    self._respawn(slot)
+                    worker = self._pool[slot]
+                entry = todo.popleft()
+                try:
+                    worker.conn.send(self._task(entry))
+                except (BrokenPipeError, OSError):
+                    todo.appendleft(entry)
+                    self._respawn(slot)
+                    continue
+                self._inflight[slot] = (entry, time.monotonic())
+
+            # 2. Drain whatever is ready.
+            busy = {self._pool[slot].conn: slot for slot in self._inflight}
+            ready = (
+                connection.wait(list(busy), timeout=_DRAIN_POLL_S)
+                if busy
+                else []
+            )
+            for ready_conn in ready:
+                try:
+                    message = ready_conn.recv()
+                except (EOFError, OSError):
+                    # Worker died: the liveness pass charges its app.
+                    continue
+                _receive(busy[ready_conn], message)
+
+            # 3. Liveness: replace dead workers, kill hung ones.
+            now = time.monotonic()
+            for slot, worker in enumerate(self._pool):
+                if worker is None:
+                    continue
+                held = self._inflight.get(slot)
+                if not worker.process.is_alive():
+                    # An answer sent before dying is still readable.
+                    try:
+                        if held is not None and worker.conn.poll():
+                            _receive(slot, worker.conn.recv())
+                    except (EOFError, OSError):
+                        pass
+                    _lose(slot, RuntimeError(
+                        f"worker pid {worker.process.pid} died"
+                    ))
+                elif (
+                    held is not None
+                    and deadline is not None
+                    and now - held[1] > deadline
+                ):
+                    _lose(slot, TimeoutError(
+                        f"worker pid {worker.process.pid} hung past "
+                        f"{deadline:.1f}s"
+                    ))
+        return out
+
+    # -- observability -------------------------------------------------
+
+    def liveness(self) -> dict:
+        """Pool health for ``/healthz``: per-slot liveness, busyness,
+        heartbeats, and the respawn count.  PIDs are exposed so chaos
+        tests (and the CI smoke) can kill a real worker."""
+        now = time.time()
+        alive = busy = 0
+        pids: list[int | None] = []
+        heartbeat_age: list[float | None] = []
+        for slot, worker in enumerate(self._pool):
+            if worker is None:
+                pids.append(None)
+                heartbeat_age.append(None)
+                continue
+            if worker.process.is_alive():
+                alive += 1
+            if slot in self._inflight:
+                busy += 1
+            pids.append(worker.process.pid)
+            beat = self._heartbeat[slot]
+            heartbeat_age.append(round(now - beat, 3) if beat else None)
+        return {
+            "workers": self.workers,
+            "alive": alive,
+            "busy": busy,
+            "restarts": self.restarts,
+            "pids": pids,
+            "heartbeat_age_s": heartbeat_age,
+            "substrate_source": self.substrate_source,
+        }

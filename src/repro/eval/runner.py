@@ -428,8 +428,8 @@ def _call_with_thread_deadline(fn: Callable[[], None], timeout_s: float):
     The analysis runs in a daemon thread that is *abandoned* on
     timeout — Python offers no safe preemption — so the caller's run
     proceeds while the stuck computation is left to the process's
-    lifetime.  Pool workers are recycled between rounds, which bounds
-    the leak in long corpus runs.
+    lifetime.  A pool worker lives as long as its pool, so an
+    abandoned thread does too.
     """
     outcome: dict[str, BaseException] = {}
     done = threading.Event()
@@ -579,7 +579,6 @@ def run_tools(
     toolset: ToolSet | None = None,
     *,
     jobs: int = 1,
-    chunk_size: int | None = None,
     timeout_s: float | None = None,
     progress: Callable[[str], None] | None = None,
     max_retries: int = 0,
@@ -590,10 +589,10 @@ def run_tools(
 ) -> RunResults:
     """Analyze every app with every tool.
 
-    ``jobs > 1`` fans the corpus out over a process pool whose workers
-    each construct the shared framework repository + API database once
-    (see :mod:`repro.eval.parallel`); results come back in corpus
-    order regardless of completion order.
+    ``jobs > 1`` fans the corpus out over a pool of ``jobs`` worker
+    processes that attach to one parent-prepared framework repository
+    + API database (see :mod:`repro.eval.parallel`); results come back
+    in corpus order regardless of completion order.
 
     ``max_retries`` re-attempts retryable failures (timeout,
     worker-lost, resource) before quarantining the app;
@@ -614,38 +613,31 @@ def run_tools(
     run would.
     """
     toolset = toolset or ToolSet.default()
-    if jobs > 1:
-        from .parallel import ParallelConfig, run_tools_parallel
-
-        config = ParallelConfig(
-            jobs=jobs,
-            chunk_size=chunk_size,
-            timeout_s=timeout_s,
-            include=toolset.tool_names,
-            max_retries=max_retries,
-            retry_backoff_s=retry_backoff_s,
-            fault_plan=fault_plan,
-            cache_dir=str(cache_dir) if cache_dir is not None else None,
-            summaries=toolset.summaries,
-            dedup=toolset.dedup,
-        )
-        return run_tools_parallel(
-            apps,
-            toolset.framework.spec,
-            config,
-            progress=progress,
-            checkpoint=checkpoint,
-        )
-
-    # The serial scheduler is the orchestration engine plus an
-    # in-process backend; every retry/quarantine/checkpoint/cache
-    # decision lives in repro.eval.orchestration, shared verbatim with
-    # the parallel engine.
+    # Both schedulers are the orchestration engine plus a backend; every
+    # retry/quarantine/checkpoint/cache decision lives in
+    # repro.eval.orchestration, shared verbatim between them.
     from .orchestration import SerialBackend, run_corpus
 
-    backend = SerialBackend(
-        toolset, timeout_s=timeout_s, fault_plan=fault_plan
-    )
+    if jobs > 1:
+        from .parallel import PoolBackend
+
+        backend = PoolBackend(
+            toolset.framework.spec,
+            workers=jobs,
+            include=toolset.tool_names,
+            timeout_s=timeout_s,
+            # A batch run kills no worker from the parent: each app's
+            # deadline is timeout_s, enforced inside its worker.
+            hang_timeout_s=None,
+            summaries=toolset.summaries,
+            cache_dir=str(cache_dir) if cache_dir is not None else None,
+            dedup=toolset.dedup,
+            fault_plan=fault_plan,
+        )
+    else:
+        backend = SerialBackend(
+            toolset, timeout_s=timeout_s, fault_plan=fault_plan
+        )
     return run_corpus(
         apps,
         backend,

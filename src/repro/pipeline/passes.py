@@ -371,7 +371,6 @@ class EagerLoadPass(Pass):
     error_phase = AnalysisPhase.AUM
     requires = ("model", "resolution_level", "usages", "overrides",
                 "permission_uses")
-    provides = ("eager_stats",)
 
     def run(self, ctx: AnalysisContext) -> None:
         model = ctx.get("model")
@@ -380,7 +379,6 @@ class EagerLoadPass(Pass):
         )
         vm.load_everything()
         model.stats.adopt_load_accounting(vm.stats)
-        ctx.provide("eager_stats", vm.stats)
 
 
 @register_pass

@@ -16,8 +16,9 @@ Robustness is the headline, not a footnote:
   acknowledged, and every terminal result is journaled when it lands —
   a killed daemon (even ``kill -9``) replays exactly the in-flight
   jobs on restart, with no losses and no duplicates;
-* a **supervisor** owns the worker pool: heartbeat/deadline monitoring
-  detects hung and dead workers, replaces them continuously, and
+* the worker pool (:class:`repro.eval.parallel.PoolBackend`, the same
+  pool batch runs use) watches heartbeats and deadlines, detects hung
+  and dead workers and replaces them continuously, and
   poison jobs are quarantined after bounded retries with full-jitter
   backoff;
 * **admission control** keeps the daemon answering under overload —
@@ -29,8 +30,8 @@ Robustness is the headline, not a footnote:
 
 Layers (one module each): :mod:`jobs` (the job model),
 :mod:`journal` (the WAL), :mod:`queue` (admission + job source),
-:mod:`supervisor` (the worker pool), :mod:`service` (the daemon
-object), :mod:`server` (HTTP), :mod:`client` (a tiny client).
+:mod:`service` (the daemon object), :mod:`server` (HTTP),
+:mod:`client` (a tiny client).
 """
 
 from .client import ServeClient, ServeClientError
@@ -45,7 +46,6 @@ from .queue import (
 )
 from .server import install_signal_handlers, start_server
 from .service import AnalysisService, ServeConfig
-from .supervisor import PoolSupervisor
 
 __all__ = [
     "AnalysisService",
@@ -54,7 +54,6 @@ __all__ = [
     "JobState",
     "JobQueue",
     "ServeJournal",
-    "PoolSupervisor",
     "ServeClient",
     "ServeClientError",
     "QueueFullError",

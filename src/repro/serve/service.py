@@ -1,4 +1,4 @@
-"""The daemon object: substrate + journal + queue + supervisor +
+"""The daemon object: substrate + journal + queue + worker pool +
 dispatcher, wired and lifecycle-managed.
 
 :class:`AnalysisService` is the HTTP-free heart of ``saintdroid
@@ -37,6 +37,7 @@ from ..apk.serialization import apk_from_dict
 from ..cache.fingerprint import fingerprint_config, fingerprint_spec
 from ..eval.faults import FaultKind
 from ..eval.orchestration import run_stream
+from ..eval.parallel import PoolBackend
 from ..eval.runner import DEFAULT_TOOLS
 from ..framework.spec import FrameworkSpec
 from ..workload.appgen import ForgedApp
@@ -44,7 +45,6 @@ from ..workload.groundtruth import GroundTruth
 from .jobs import Job
 from .journal import ServeJournal
 from .queue import JobQueue
-from .supervisor import PoolSupervisor
 
 if TYPE_CHECKING:  # pragma: no cover — import cycle guard
     from ..eval.faults import FaultPlan
@@ -129,7 +129,7 @@ class AnalysisService:
         self._substrate = substrate
         self.journal: ServeJournal | None = None
         self.queue: JobQueue | None = None
-        self.supervisor: PoolSupervisor | None = None
+        self.pool: PoolBackend | None = None
         self._result_cache = None
         self._dispatcher: threading.Thread | None = None
         self._state = _ServiceState()
@@ -177,7 +177,7 @@ class AnalysisService:
             fault_plan=config.fault_plan,
             start_seq=(recovery.max_seq + 1) if recovery else 0,
         )
-        self.supervisor = PoolSupervisor(
+        self.pool = PoolBackend(
             self.spec,
             workers=config.workers,
             include=config.include,
@@ -188,7 +188,7 @@ class AnalysisService:
             dedup=config.dedup,
             fault_plan=config.fault_plan,
         )
-        self.supervisor.start(self._substrate)
+        self.pool.start(self._substrate)
         replayed = self._replay(recovery)
         self._dispatcher = threading.Thread(
             target=self._dispatch, name="serve-dispatcher", daemon=True
@@ -233,7 +233,7 @@ class AnalysisService:
     def _dispatch(self) -> None:
         self._state.stream_stats = run_stream(
             self.queue,
-            self.supervisor,
+            self.pool,
             max_retries=self.config.max_retries,
             retry_backoff_s=self.config.retry_backoff_s,
             batch_limit=self.config.resolved_batch_limit(),
@@ -263,14 +263,14 @@ class AnalysisService:
             self._inject_drain_fault()
             if self._dispatcher is not None:
                 self._dispatcher.join(timeout=budget)
-            if self.supervisor is not None:
+            if self.pool is not None:
                 # Adopt worker-written class artifacts into the shared
                 # manifest and enforce the byte budget (no-op without
                 # ``--dedup``), then stop the pool.
-                self._state.worker_cache_stats = self.supervisor.finish(
+                self._state.worker_cache_stats = self.pool.finish(
                     self.config.cache_dir
                 )
-                self.supervisor.close()
+                self.pool.close()
             if self.journal is not None:
                 self.journal.close()
             if self._result_cache is not None:
@@ -384,8 +384,8 @@ class AnalysisService:
             ),
             "queue": queue_stats,
             "pool": (
-                self.supervisor.liveness()
-                if self.supervisor is not None
+                self.pool.liveness()
+                if self.pool is not None
                 else {}
             ),
             "result_cache": cache_stats,
@@ -405,8 +405,8 @@ class AnalysisService:
         """
         state = self._state
         worker_caches = (
-            self.supervisor.cache_stats()
-            if self.supervisor is not None
+            self.pool.cache_stats()
+            if self.pool is not None
             else dict(state.worker_cache_stats)
         )
         doc: dict = {

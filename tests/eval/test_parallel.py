@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import multiprocessing
 import time
-from concurrent.futures import ProcessPoolExecutor
 
 import pytest
 
@@ -20,13 +19,13 @@ from repro.core.errors import ErrorKind
 from repro.eval import parallel
 from repro.eval import (
     AppTimeoutError,
-    ParallelConfig,
     RunResults,
     ToolSet,
     analyze_app,
     run_tools,
-    run_tools_parallel,
 )
+from repro.eval.faults import FaultKind, FaultPlan, InjectedFault
+from repro.eval.orchestration import run_corpus
 from repro.workload.appgen import ForgedApp
 from repro.workload.corpus import CorpusConfig, generate_corpus
 from repro.workload.groundtruth import GroundTruth
@@ -34,11 +33,18 @@ from repro.workload.groundtruth import GroundTruth
 #: Small but non-trivial corpus: mixed targets, seeded issues, tiny
 #: app bodies so the whole file stays fast.
 SMALL_CORPUS = CorpusConfig(count=6, kloc_median=1.5, kloc_max=4.0)
+#: Enough apps that both workers still have queued work when one dies.
+DEATH_CORPUS = CorpusConfig(count=16, kloc_median=0.5, kloc_max=1.0)
 
 
 @pytest.fixture(scope="module")
 def small_corpus(apidb):
     return [member.forged for member in generate_corpus(SMALL_CORPUS, apidb)]
+
+
+@pytest.fixture()
+def saintdroid(framework, apidb):
+    return ToolSet.default(framework, apidb, include=("SAINTDroid",))
 
 
 class _KaboomApk:
@@ -72,18 +78,15 @@ class TestEquivalence:
     ):
         toolset = ToolSet.default(framework, apidb)
         serial = run_tools(small_corpus, toolset)
-        parallel = run_tools(small_corpus, toolset, jobs=3, chunk_size=2)
+        parallel = run_tools(small_corpus, toolset, jobs=3)
         assert serial.fingerprint() == parallel.fingerprint()
         assert len(parallel) == len(small_corpus)
         assert [r.app for r in parallel.results] == [
             f.apk.name for f in small_corpus
         ]
 
-    def test_parallel_cache_stats_merged(
-        self, spec, small_corpus
-    ):
-        config = ParallelConfig(jobs=2, chunk_size=2, include=("SAINTDroid",))
-        out = run_tools_parallel(small_corpus, spec, config)
+    def test_parallel_cache_stats_merged(self, saintdroid, small_corpus):
+        out = run_tools(small_corpus, saintdroid, jobs=2)
         stats = out.cache_stats
         assert stats["workers"] >= 1
         # From the second app onward the framework image and database
@@ -92,21 +95,18 @@ class TestEquivalence:
         assert stats["apidb"]["levels_hits"] > 0
         assert 0.0 < stats["apidb"]["hit_rate"] <= 1.0
 
-    def test_empty_corpus(self, spec):
-        out = run_tools_parallel([], spec, ParallelConfig(jobs=2))
+    def test_empty_corpus(self, saintdroid):
+        out = run_tools([], saintdroid, jobs=2)
         assert isinstance(out, RunResults)
         assert len(out) == 0
 
 
 class TestFailureIsolation:
     def test_poisoned_app_does_not_kill_the_run(
-        self, spec, small_corpus
+        self, saintdroid, small_corpus
     ):
         apps = [small_corpus[0], _kaboom(), small_corpus[1]]
-        config = ParallelConfig(
-            jobs=2, chunk_size=1, include=("SAINTDroid",)
-        )
-        out = run_tools_parallel(apps, spec, config)
+        out = run_tools(apps, saintdroid, jobs=2)
         assert [r.app for r in out.results] == [
             small_corpus[0].apk.name, "kaboom", small_corpus[1].apk.name
         ]
@@ -119,6 +119,20 @@ class TestFailureIsolation:
         assert bad.reports == {}
         assert out.failed_apps == ("kaboom",)
         assert out.error_summary() == {"crash": 1}
+
+    def test_worker_death_costs_only_its_app(self, saintdroid, apidb):
+        """A worker that dies takes exactly the app it held: the slot
+        is respawned and every queued app still gets a verdict."""
+        apps = [m.forged for m in generate_corpus(DEATH_CORPUS, apidb)]
+        plan = FaultPlan(
+            faults={0: InjectedFault(FaultKind.WORKER_DEATH, None)}
+        )
+        out = run_tools(
+            apps, saintdroid, jobs=2, max_retries=0, fault_plan=plan
+        )
+        failed = [i for i, r in enumerate(out.results) if not r.ok]
+        assert failed == [0]
+        assert out.results[0].error.kind is ErrorKind.WORKER_LOST
 
     def test_serial_error_capture(self, framework, apidb):
         toolset = ToolSet.default(
@@ -147,93 +161,104 @@ class TestFailureIsolation:
 
 
 class TestScheduling:
-    def test_resolved_chunk_size_default(self):
-        config = ParallelConfig(jobs=4)
-        # 160 apps / 4 workers = 40 per worker -> several chunks each,
-        # capped so pickling never dominates.
-        assert 1 <= config.resolved_chunk_size(160) <= 16
-        assert config.resolved_chunk_size(2) == 1
-
-    def test_resolved_chunk_size_explicit(self):
-        config = ParallelConfig(jobs=4, chunk_size=7)
-        assert config.resolved_chunk_size(1000) == 7
-        assert ParallelConfig(chunk_size=0).resolved_chunk_size(10) == 1
-
-    def test_progress_callback_sees_every_app(self, spec, small_corpus):
+    def test_progress_callback_sees_every_app(
+        self, saintdroid, small_corpus
+    ):
         seen: list[str] = []
-        config = ParallelConfig(jobs=2, include=("SAINTDroid",))
-        run_tools_parallel(
-            small_corpus[:3], spec, config, progress=seen.append
-        )
+        run_tools(small_corpus[:3], saintdroid, jobs=2, progress=seen.append)
         assert sorted(seen) == sorted(
             f.apk.name for f in small_corpus[:3]
         )
 
 
-class _SpyPool(ProcessPoolExecutor):
-    """Records, parent-side, every chunk the engine submits and the
-    round's app map at that moment."""
-
-    chunks: list = []
-    maps: list = []
-
-    def submit(self, fn, chunk, *args, **kwargs):
-        type(self).chunks.append(chunk)
-        type(self).maps.append(dict(parallel._ROUND_APPS))
-        return super().submit(fn, chunk, *args, **kwargs)
-
-
-class _RaisingPool(_SpyPool):
-    def submit(self, fn, chunk, *args, **kwargs):
-        type(self).maps.append(dict(parallel._ROUND_APPS))
-        raise RuntimeError("submit failed")
-
-
 @pytest.fixture()
-def spy_pool(monkeypatch):
-    _SpyPool.chunks, _SpyPool.maps = [], []
-    monkeypatch.setattr(parallel, "ProcessPoolExecutor", _SpyPool)
-    return _SpyPool
+def task_spy(monkeypatch):
+    """Records, parent-side, every task the pool sends, with the
+    published app map and the pool's respawn count at that moment."""
+    sent: list[dict] = []
+    original = parallel.PoolBackend._task
+
+    def _spy(self, entry):
+        task = original(self, entry)
+        sent.append(
+            {
+                "task": task,
+                "apps": dict(parallel._APPS),
+                "restarts": self.restarts,
+            }
+        )
+        return task
+
+    monkeypatch.setattr(parallel.PoolBackend, "_task", _spy)
+    return sent
 
 
 class TestAppShipping:
-    """Forked workers inherit the round's apps and are sent indices;
-    other start methods are sent the apps themselves."""
+    """Forked workers inherit a batch run's apps and are sent indices;
+    spawned workers are sent the apps themselves."""
 
-    def test_forked_chunks_carry_indices_only(
-        self, spec, small_corpus, spy_pool
+    def test_forked_tasks_carry_indices_only(
+        self, saintdroid, small_corpus, task_spy
     ):
         assert parallel._pool_context().get_start_method() == "fork"
-        config = ParallelConfig(jobs=2, chunk_size=2, include=("SAINTDroid",))
-        out = run_tools_parallel(small_corpus, spec, config)
+        out = run_tools(small_corpus, saintdroid, jobs=2)
         assert all(result.ok for result in out.results)
-        entries = [entry for chunk in spy_pool.chunks for entry in chunk]
-        assert sorted(index for index, _, _ in entries) == list(
+        tasks = [sent["task"] for sent in task_spy]
+        assert sorted(task[0] for task in tasks) == list(
             range(len(small_corpus))
         )
-        assert all(forged is None for _, forged, _ in entries)
-        for app_map in spy_pool.maps:
-            assert app_map == dict(enumerate(small_corpus))
-        assert parallel._ROUND_APPS == {}
+        assert all(task[1] is None for task in tasks)
+        for sent in task_spy:
+            assert sent["apps"] == dict(enumerate(small_corpus))
+        assert parallel._APPS == {}
+
+    def test_respawned_slot_is_sent_indices_only(
+        self, spec, saintdroid, small_corpus, task_spy
+    ):
+        """A slot respawned after a worker death forks from a parent
+        that still publishes the apps, so it too gets indices only."""
+        apps = small_corpus[:3]
+        plan = FaultPlan(
+            faults={0: InjectedFault(FaultKind.WORKER_DEATH, 1)}
+        )
+        backend = parallel.PoolBackend(
+            spec,
+            workers=1,
+            include=("SAINTDroid",),
+            hang_timeout_s=None,
+            fault_plan=plan,
+        )
+        out = run_corpus(apps, backend, max_retries=1, fault_plan=plan)
+        serial = run_tools(apps, saintdroid)
+        assert out.findings_fingerprint() == serial.findings_fingerprint()
+        assert backend.restarts == 1
+        after_respawn = [s["task"] for s in task_spy if s["restarts"]]
+        # Apps 1 and 2 plus app 0's retry all went to the new worker.
+        assert sorted(task[0] for task in after_respawn) == [0, 1, 2]
+        assert all(sent["task"][1] is None for sent in task_spy)
+        assert parallel._APPS == {}
 
     def test_app_map_cleared_when_a_round_raises(
         self, spec, small_corpus, monkeypatch
     ):
-        _RaisingPool.maps = []
-        monkeypatch.setattr(parallel, "ProcessPoolExecutor", _RaisingPool)
+        maps: list[dict] = []
+
+        def _raising(self, entry):
+            maps.append(dict(parallel._APPS))
+            raise RuntimeError("dispatch failed")
+
+        monkeypatch.setattr(parallel.PoolBackend, "_task", _raising)
         backend = parallel.PoolBackend(
-            spec, ParallelConfig(jobs=2, include=("SAINTDroid",))
+            spec, workers=2, include=("SAINTDroid",), hang_timeout_s=None
         )
-        pending = [
-            (index, forged, 0) for index, forged in enumerate(small_corpus)
-        ]
-        with pytest.raises(RuntimeError, match="submit failed"):
-            backend.run_round(pending, 0)
-        assert _RaisingPool.maps == [dict(enumerate(small_corpus))]
-        assert parallel._ROUND_APPS == {}
+        with pytest.raises(RuntimeError, match="dispatch failed"):
+            run_corpus(small_corpus, backend)
+        assert maps == [dict(enumerate(small_corpus))]
+        assert parallel._APPS == {}
+        assert backend.liveness()["pids"] == [None, None]
 
     def test_spawn_pool_ships_apps_and_matches_serial(
-        self, spec, framework, apidb, small_corpus, spy_pool, monkeypatch
+        self, framework, apidb, small_corpus, task_spy, monkeypatch
     ):
         monkeypatch.setattr(
             parallel,
@@ -241,13 +266,14 @@ class TestAppShipping:
             lambda: multiprocessing.get_context("spawn"),
         )
         apps = small_corpus[:4]
-        serial = run_tools(apps, ToolSet.default(framework, apidb))
-        pooled = run_tools_parallel(apps, spec, ParallelConfig(jobs=2))
+        toolset = ToolSet.default(framework, apidb)
+        serial = run_tools(apps, toolset)
+        pooled = run_tools(apps, toolset, jobs=2)
         assert pooled.findings_fingerprint() == serial.findings_fingerprint()
-        entries = [entry for chunk in spy_pool.chunks for entry in chunk]
-        assert len(entries) == len(apps)
-        assert all(isinstance(forged, ForgedApp) for _, forged, _ in entries)
-        assert all(app_map == {} for app_map in spy_pool.maps)
+        tasks = [sent["task"] for sent in task_spy]
+        assert len(tasks) == len(apps)
+        assert all(isinstance(task[1], ForgedApp) for task in tasks)
+        assert all(sent["apps"] == {} for sent in task_spy)
 
 
 class TestCli:

@@ -1,11 +1,11 @@
-"""Tests for the parallel engine's stats merging and loss synthesis.
+"""Tests for the pool's stats merging and loss synthesis.
 
 `_merge_cache_stats` and `_worker_lost_results` are the two pure
 helpers the pool backend leans on when things go wrong: the first
 must stay honest about per-worker cache behavior (including the
 degenerate no-snapshot case), the second must synthesize retryable
 ``worker-lost`` records that keep the run alive.  Both are also
-exercised end-to-end here with a worker that actually dies mid-chunk.
+exercised end-to-end here with a worker that actually dies mid-run.
 """
 
 from __future__ import annotations
@@ -14,12 +14,8 @@ import pytest
 
 from repro.core.errors import ErrorKind
 from repro.eval.faults import FaultKind, FaultPlan, InjectedFault
-from repro.eval.parallel import (
-    ParallelConfig,
-    _merge_cache_stats,
-    _worker_lost_results,
-    run_tools_parallel,
-)
+from repro.eval.parallel import _merge_cache_stats, _worker_lost_results
+from repro.eval.runner import ToolSet, run_tools
 from repro.workload.corpus import CorpusConfig, generate_corpus
 
 STATS_CORPUS = CorpusConfig(
@@ -140,13 +136,15 @@ class BrokenProcessPoolStandin(RuntimeError):
 
 class TestStatsAcrossRetryRounds:
     def test_worker_death_midchunk_still_merges_stats(
-        self, spec, corpus
+        self, framework, apidb, corpus
     ):
-        """A worker dying mid-chunk poisons its pool; the retry round
-        runs on a fresh pool with new pids.  The merged stats must
-        reflect workers from BOTH rounds, and the transiently killed
-        app must come back clean."""
-        config = ParallelConfig(
+        """A dying worker is replaced in place by a new process with a
+        new pid.  The merged stats must reflect the respawned worker
+        as well as the survivor, and the transiently killed app must
+        come back clean."""
+        out = run_tools(
+            corpus,
+            ToolSet.default(framework, apidb),
             jobs=2,
             max_retries=1,
             fault_plan=FaultPlan(
@@ -157,11 +155,10 @@ class TestStatsAcrossRetryRounds:
                 }
             ),
         )
-        out = run_tools_parallel(corpus, spec, config)
         assert len(out) == len(corpus)
         assert out.results[1].error is None
         stats = out.cache_stats
-        # At least one round-0 survivor plus the retry round's worker.
+        # The survivor plus the respawned worker.
         assert stats["workers"] >= 2
         assert len(stats["framework"]["per_worker_hit_rates"]) == (
             stats["workers"]

@@ -2,7 +2,7 @@
 
 The session substrate (``framework``/``apidb`` from the root
 conftest) is passed straight into :meth:`AnalysisService` /
-:meth:`PoolSupervisor.start`, so the daemon tests never pay a second
+:meth:`PoolBackend.start`, so the daemon tests never pay a second
 substrate build — forked workers inherit the session's objects as
 copy-on-write pages exactly like production fork pools do.
 """

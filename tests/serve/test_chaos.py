@@ -84,7 +84,7 @@ class TestInProcessChaos:
     ):
         monkeypatch.setenv("REPRO_FORCE_SHARED_SUBSTRATE", "1")
         service = make_service()
-        segment = service.supervisor._segment
+        segment = service.pool._segment
         assert segment is not None, "forced segment was not published"
         handle = segment.handle
         job = service.submit(apk_to_dict(serve_apk("seg")))
