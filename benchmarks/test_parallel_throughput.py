@@ -9,10 +9,10 @@ Three ways to analyze the same corpus:
   after the first hits the framework class cache and the database
   memo tables;
 * **parallel** — the process-pool engine (``jobs=4``): the parent
-  prepares the substrate once (framework levels pre-warmed, database
-  mined) and every worker attaches to it — fork page sharing or the
-  shared-memory segment — so workers start warm instead of each
-  rebuilding its own cache.
+  warms the corpus's framework levels in the caller's repository once
+  and every worker is started with that repository and database as
+  process arguments (copy-on-write pages under fork), so workers start
+  warm instead of each rebuilding its own cache.
 
 All three must produce fingerprint-identical results; the wall-clock
 and cache-hit numbers land in ``results/BENCH_parallel.json``.

@@ -6,8 +6,8 @@ re-run cost near zero.  Three tiers:
 
 * **framework snapshots** (:mod:`.snapshot`) — the materialized
   repository + mined API database serialized once per framework
-  fingerprint, loaded by corpus runs and pool-worker initializers
-  instead of regenerated;
+  fingerprint, loaded by corpus runs, the serve daemon and sweep
+  points instead of regenerated;
 * **per-app results** (:mod:`.results`) — finalized
   :class:`~repro.eval.runner.AppResult` records keyed by (APK content,
   framework, detector configuration) fingerprints; warm runs are
@@ -43,14 +43,11 @@ from .manifest import (
     shared_manifest,
 )
 from .results import ResultCache, ResultCacheStats
-from .shared import SharedSubstrate, SharedSubstrateHandle
 from .snapshot import (
     ensure_snapshot,
     load_or_build_substrate,
     load_snapshot,
-    restore_substrate,
     snapshot_path,
-    substrate_payload,
     write_snapshot,
 )
 
@@ -62,8 +59,6 @@ __all__ = [
     "ClassStoreStats",
     "ResultCache",
     "ResultCacheStats",
-    "SharedSubstrate",
-    "SharedSubstrateHandle",
     "atomic_write_bytes",
     "atomic_write_text",
     "canonical_json",
@@ -77,10 +72,8 @@ __all__ = [
     "fingerprint_spec",
     "load_or_build_substrate",
     "load_snapshot",
-    "restore_substrate",
     "result_key",
     "shared_manifest",
     "snapshot_path",
-    "substrate_payload",
     "write_snapshot",
 ]

@@ -1,9 +1,9 @@
 """Framework snapshots: the substrate serialized once, loaded forever.
 
-Every corpus run (and every pool worker, a respawned one too)
-needs the same two artifacts before it can analyze its
-first app: the :class:`~repro.framework.repository.FrameworkRepository`
-and the :class:`~repro.core.apidb.ApiDatabase` mined from it.  Both
+Every corpus run, serve daemon and sweep point needs the same two
+artifacts before it can analyze its first app: the
+:class:`~repro.framework.repository.FrameworkRepository` and the
+:class:`~repro.core.apidb.ApiDatabase` mined from it.  Both
 are pure functions of the framework spec, so a snapshot materializes
 them exactly once and serves every later consumer from disk:
 
@@ -43,8 +43,6 @@ from .manifest import atomic_write_bytes
 __all__ = [
     "SNAPSHOT_VERSION",
     "snapshot_path",
-    "substrate_payload",
-    "restore_substrate",
     "write_snapshot",
     "ensure_snapshot",
     "load_snapshot",
@@ -66,50 +64,6 @@ def snapshot_path(cache_dir: str | Path, key: str) -> Path:
     )
 
 
-def substrate_payload(
-    framework: FrameworkRepository, apidb: ApiDatabase, key: str
-) -> dict:
-    """The substrate as one picklable document — the shared
-    materialized form used by both disk snapshots and
-    :class:`~repro.cache.shared.SharedSubstrate` segments."""
-    return {
-        "version": SNAPSHOT_VERSION,
-        "key": key,
-        "spec": framework.spec,
-        # Keys only: materialization is a pure function of the
-        # spec, and re-running it on load is several times cheaper
-        # than unpickling the full class graphs.
-        "warm_classes": sorted(framework.export_class_cache()),
-        "apidb": apidb,
-    }
-
-
-def restore_substrate(
-    doc: object, *, key: str | None = None
-) -> tuple[FrameworkRepository, ApiDatabase] | None:
-    """Rebuild ``(framework, apidb)`` from a :func:`substrate_payload`
-    document; ``None`` on any structural defect or key mismatch."""
-    if (
-        not isinstance(doc, dict)
-        or doc.get("version") != SNAPSHOT_VERSION
-        or (key is not None and doc.get("key") != key)
-        or not isinstance(doc.get("spec"), FrameworkSpec)
-        or not isinstance(doc.get("apidb"), ApiDatabase)
-    ):
-        return None
-    framework = FrameworkRepository(doc["spec"])
-    framework.preload_class_cache(
-        {
-            (level, name): materialize_class(doc["spec"], name, level)
-            for level, name in doc.get("warm_classes") or ()
-        }
-    )
-    apidb = doc["apidb"]
-    apidb.reset_cache_counters()
-    register_database(framework.spec, apidb)
-    return framework, apidb
-
-
 def write_snapshot(
     cache_dir: str | Path,
     key: str,
@@ -118,7 +72,16 @@ def write_snapshot(
 ) -> Path:
     """Serialize the substrate under ``key``; returns the file path."""
     payload = pickle.dumps(
-        substrate_payload(framework, apidb, key),
+        {
+            "version": SNAPSHOT_VERSION,
+            "key": key,
+            "spec": framework.spec,
+            # Keys only: materialization is a pure function of the
+            # spec, and re-running it on load is several times cheaper
+            # than unpickling the full class graphs.
+            "warm_classes": sorted(framework.export_class_cache()),
+            "apidb": apidb,
+        },
         protocol=pickle.HIGHEST_PROTOCOL,
     )
     path = snapshot_path(cache_dir, key)
@@ -164,7 +127,25 @@ def load_snapshot(
         doc = pickle.loads(payload)
     except Exception:  # pragma: no cover — checksum already gates this
         return None
-    return restore_substrate(doc, key=key)
+    if (
+        not isinstance(doc, dict)
+        or doc.get("version") != SNAPSHOT_VERSION
+        or (key is not None and doc.get("key") != key)
+        or not isinstance(doc.get("spec"), FrameworkSpec)
+        or not isinstance(doc.get("apidb"), ApiDatabase)
+    ):
+        return None
+    framework = FrameworkRepository(doc["spec"])
+    framework.preload_class_cache(
+        {
+            (level, name): materialize_class(doc["spec"], name, level)
+            for level, name in doc.get("warm_classes") or ()
+        }
+    )
+    apidb = doc["apidb"]
+    apidb.reset_cache_counters()
+    register_database(framework.spec, apidb)
+    return framework, apidb
 
 
 def load_or_build_substrate(

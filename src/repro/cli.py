@@ -192,8 +192,8 @@ def build_parser() -> argparse.ArgumentParser:
     gen.add_argument("--scale", type=float, default=1.0)
 
     jobs_help = (
-        "worker processes for corpus analysis (1 = serial; each "
-        "worker builds the shared framework + API database once)"
+        "worker processes for corpus analysis (1 = serial; every "
+        "worker analyzes over the run's one framework + API database)"
     )
 
     def _add_corpus_flags(command: argparse.ArgumentParser) -> None:
@@ -220,6 +220,13 @@ def build_parser() -> argparse.ArgumentParser:
                  "pointed at the same file resumes where it was "
                  "killed",
         )
+        _add_cache_flags(command)
+
+    def _add_cache_flags(
+        command: argparse.ArgumentParser, *, dedup: bool = True
+    ) -> None:
+        """The persistent-cache and analysis-mode flags, shared by the
+        corpus commands, ``serve`` and (without ``--dedup``) ``sweep``."""
         command.add_argument(
             "--cache-dir", type=Path, default=None, metavar="DIR",
             help="persistent cache: framework snapshots + per-app "
@@ -242,6 +249,8 @@ def build_parser() -> argparse.ArgumentParser:
                  "built once per framework and cached under "
                  "--cache-dir when set)",
         )
+        if not dedup:
+            return
         command.add_argument(
             "--dedup", action=argparse.BooleanOptionalAction,
             default=False,
@@ -283,27 +292,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sweep.add_argument("--probes", type=int, default=3)
     sweep.add_argument("--seed", type=int, default=11)
-    sweep.add_argument(
-        "--jobs", type=int, default=1,
-        help="run sweep points concurrently (they are independent)",
-    )
-    sweep.add_argument(
-        "--cache-dir", type=Path, default=None, metavar="DIR",
-        help="snapshot each point's framework substrate so a "
-             "repeated sweep re-mines nothing (defaults to "
-             "$REPRO_CACHE_DIR when set)",
-    )
-    sweep.add_argument(
-        "--no-cache", action="store_true",
-        help="disable the persistent cache even when "
-             "$REPRO_CACHE_DIR is set",
-    )
-    sweep.add_argument(
-        "--summaries", action=argparse.BooleanOptionalAction,
-        default=False,
-        help="run SAINTDroid's probes with framework pre-summaries "
-             "(same findings, summarized explore phase)",
-    )
+    _add_cache_flags(sweep, dedup=False)
 
     difftest = sub.add_parser(
         "difftest",
@@ -468,28 +457,7 @@ def build_parser() -> argparse.ArgumentParser:
         help="write-ahead job journal; a killed daemon restarted on "
              "the same path replays acknowledged unfinished jobs",
     )
-    serve.add_argument(
-        "--cache-dir", type=Path, default=None, metavar="DIR",
-        help="persistent cache (framework snapshot + cross-restart "
-             "result dedup); defaults to $REPRO_CACHE_DIR when set",
-    )
-    serve.add_argument(
-        "--no-cache", action="store_true",
-        help="disable the persistent cache even when "
-             "$REPRO_CACHE_DIR is set",
-    )
-    serve.add_argument(
-        "--summaries", action=argparse.BooleanOptionalAction,
-        default=False,
-        help="run workers with whole-framework pre-summaries",
-    )
-    serve.add_argument(
-        "--dedup", action=argparse.BooleanOptionalAction,
-        default=False,
-        help="delta analysis against the corpus-wide class-artifact "
-             "store; a resident daemon's hit rate climbs as its "
-             "corpus streams in (cumulative counters on /statsz)",
-    )
+    _add_cache_flags(serve)
 
     submit = sub.add_parser(
         "submit",
@@ -826,7 +794,6 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
         tuple(args.bulk_sizes),
         probes_per_point=args.probes,
         seed=args.seed,
-        jobs=args.jobs,
         cache_dir=str(cache_dir) if cache_dir is not None else None,
         summaries=args.summaries,
     )

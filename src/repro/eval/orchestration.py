@@ -109,9 +109,9 @@ class CorpusBackend:
         raise NotImplementedError
 
     def close(self) -> None:
-        """Release machine-wide resources (shared-memory segments).
-        Called from a ``finally`` — it must be idempotent and safe
-        even when :meth:`prepare` never ran or a round raised."""
+        """Release what outlives a round (worker processes).  Called
+        from a ``finally`` — it must be idempotent and safe even when
+        :meth:`prepare` never ran or a round raised."""
 
 
 class SerialBackend(CorpusBackend):
@@ -273,9 +273,9 @@ def run_corpus(
             still_pending.append(entry)
         pending = still_pending
 
-    # The close() in the finally is the backstop that keeps shared
-    # substrate segments from outliving the run when a round raises or
-    # SIGINT unwinds the loop.
+    # The close() in the finally is the backstop that keeps worker
+    # processes from outliving the run when a round raises or SIGINT
+    # unwinds the loop.
     try:
         if pending:
             backend.prepare(cache_dir, pending)

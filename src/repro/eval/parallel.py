@@ -7,29 +7,24 @@ API database).  :class:`PoolBackend` is the only process pool in the
 package: ``run_tools(jobs=N)`` (so ``table``, ``rq2``, ``figure``,
 ``difftest`` and ``compare``) and the ``serve`` daemon both run on it.
 
-* **shared substrate** — the parent prepares the substrate exactly
-  once (framework repository with the pending apps' levels pre-warmed,
-  mined API database, optional framework summary table) *before* it
-  forks the workers; under fork every worker inherits the prepared
-  objects as copy-on-write pages, elsewhere a protocol-5
-  :class:`~repro.cache.shared.SharedSubstrate` segment is published
-  once and mapped by each worker;
-* **worker bootstrap** — each worker resolves the substrate through a
-  cheapest-first ladder (inherited parent substrate → in-process
-  build memo → shared segment → snapshot file → mine from the spec);
-  every app it analyzes afterwards hits the worker-local framework
-  class cache and database memo tables;
+* **one substrate** — the caller hands the pool its framework
+  repository and API database.  The parent warms the framework levels
+  the pending apps target (and the framework summary table, when
+  enabled) in that repository, then passes both objects to every
+  worker as process arguments.  Under fork they are not pickled: the
+  worker inherits them as copy-on-write pages.  Under spawn each
+  worker unpickles them once.  Every app a worker analyzes then hits
+  its framework class cache and database memo tables;
 * **per-slot workers** — each slot is one forked process with a
   private duplex pipe and a heartbeat cell; a worker loops
   ``recv task → analyze_app → send result`` for the life of the pool,
   one app per task, and the parent hands a task only to an idle
   worker;
-* **app shipping** — in a batch run the parent publishes the pending
-  apps as an ``{index: app}`` map before the workers fork and keeps it
-  until :meth:`PoolBackend.close`, so every forked worker (a respawned
-  one too) already holds them and tasks carry the index only.  The
-  daemon's pool forks before any job exists, and spawned workers
-  inherit nothing: their tasks carry the app;
+* **app shipping** — in a forked batch run the pending apps travel
+  as an ``{index: app}`` process argument too, so every worker (a
+  respawned one too) already holds them and tasks carry the index
+  only.  The daemon's pool starts before any job exists, and a spawn
+  pool is given an empty map; there, each task carries its app;
 * **failure isolation** — a crashing or timed-out app yields an
   :class:`~repro.eval.runner.AppResult` with a structured
   :class:`~repro.core.errors.AnalysisError`, never a dead run.  A
@@ -65,7 +60,8 @@ from dataclasses import dataclass
 from multiprocessing import connection
 from typing import TYPE_CHECKING
 
-from ..core.arm import build_api_database, cached_database, register_database
+from ..core.apidb import ApiDatabase
+from ..core.arm import register_database
 from ..core.errors import AnalysisError, AnalysisPhase, ErrorKind
 from ..framework.repository import FrameworkCacheStats, FrameworkRepository
 from ..framework.spec import FrameworkSpec
@@ -81,82 +77,23 @@ __all__ = ["PoolBackend"]
 
 # -- worker side -----------------------------------------------------------
 
-#: The substrate the parent prepared before forking its workers; they
-#: inherit it as copy-on-write pages and skip every rebuild path.
-_PARENT_SUBSTRATE: "tuple[FrameworkRepository, object] | None" = None
-#: A batch run's apps by corpus index, set by the parent before its
-#: workers fork and cleared by ``close()``.  Forked workers (respawned
-#: ones too) inherit it and are sent indices only.
-_APPS: dict[int, ForgedApp] = {}
-#: The shared segment this worker attached (kept open for the process
-#: lifetime: the decoded payload may reference the mapped pages).
-_WORKER_SEGMENT = None
-
-
 def _init_worker(
-    spec: FrameworkSpec,
+    framework: FrameworkRepository,
+    apidb: ApiDatabase,
     include: tuple[str, ...],
-    snapshot_file: str | None = None,
-    shared_handle=None,
-    summaries: bool = False,
-    cache_dir: str | None = None,
-    dedup: bool = False,
+    summaries: bool,
+    cache_dir: str | None,
+    dedup: bool,
 ) -> ToolSet:
-    """Resolve the substrate and build this worker's tool set, which
-    every app the worker analyzes reuses — this is where the cross-app
+    """Build this worker's tool set over the caller's substrate; every
+    app the worker analyzes reuses it — this is where the cross-app
     framework/database caches live."""
-    global _WORKER_SEGMENT
-    # Substrate resolution order, cheapest first:
-    #
-    # 1. the parent-prepared substrate — under the fork start method
-    #    every worker (a respawned one too) inherits the parent's
-    #    pre-warmed repository and mined database as copy-on-write
-    #    pages: zero per-worker rebuild cost;
-    # 2. the in-process build memo (fork, parent built the database
-    #    but published no substrate);
-    # 3. the shared-memory substrate segment (spawn platforms, one
-    #    deserialization instead of a re-mine + disk read per worker);
-    # 4. the on-disk framework snapshot;
-    # 5. mining from the spec (no cache at all).
-    framework: FrameworkRepository | None = None
-    apidb = None
-    if (
-        _PARENT_SUBSTRATE is not None
-        and _PARENT_SUBSTRATE[0].spec is spec
-    ):
-        framework, apidb = _PARENT_SUBSTRATE
-    if apidb is None:
-        apidb = cached_database(spec)
-    if apidb is None and shared_handle is not None:
-        from ..cache.shared import SharedSubstrate
-        from ..cache.snapshot import restore_substrate
-
-        segment = SharedSubstrate.attach(shared_handle)
-        if segment is not None:
-            restored = restore_substrate(
-                segment.payload(), key=shared_handle.key
-            )
-            if restored is not None:
-                framework, apidb = restored
-                # Keep the mapping for the process lifetime — the
-                # restored objects may reference the shared pages.
-                _WORKER_SEGMENT = segment
-            else:
-                segment.close()
-    if apidb is None and snapshot_file is not None:
-        from ..cache.snapshot import load_snapshot
-
-        loaded = load_snapshot(snapshot_file)
-        if loaded is not None:
-            framework, apidb = loaded
-            register_database(spec, apidb)
-    if framework is None:
-        framework = FrameworkRepository(spec)
-    if apidb is None:
-        apidb = build_api_database(framework)
-    # An inherited or snapshot-loaded database carries whatever cache
-    # counters its builder accumulated — a warm start we gladly keep,
-    # but the accounting must cover only this worker's activity.
+    # A spawned worker holds an unpickled copy: make later
+    # build_api_database() calls over its spec memo hits.
+    register_database(framework.spec, apidb)
+    # The substrate carries whatever cache counters its builder
+    # accumulated — a warm start we gladly keep, but the accounting
+    # must cover only this worker's activity.
     apidb.reset_cache_counters()
     framework.cache_stats = FrameworkCacheStats()
     return ToolSet.default(
@@ -170,10 +107,11 @@ def _init_worker(
     )
 
 
-def _worker_main(conn, heartbeat, slot: int, *bootstrap) -> None:
-    """One pool worker: bootstrap the substrate (``bootstrap`` is
+def _worker_main(conn, heartbeat, slot: int, apps, *bootstrap) -> None:
+    """One pool worker: build its tool set (``bootstrap`` is
     :func:`_init_worker`'s arguments), then serve tasks off the pipe
-    until the ``None`` sentinel (or pipe loss)."""
+    until the ``None`` sentinel (or pipe loss).  ``apps`` maps corpus
+    indices to the apps a task may name by index alone."""
     import signal as _signal
 
     # The daemon's drain handler belongs to the parent; a worker that
@@ -201,7 +139,7 @@ def _worker_main(conn, heartbeat, slot: int, *bootstrap) -> None:
             return
         index, forged, attempt, timeout_s, fault = task
         if forged is None:
-            forged = _APPS[index]
+            forged = apps[index]
         heartbeat[slot] = time.time()
         result = analyze_app(
             toolset,
@@ -366,7 +304,8 @@ class PoolBackend(CorpusBackend):
 
     def __init__(
         self,
-        spec: FrameworkSpec,
+        framework: FrameworkRepository,
+        apidb: ApiDatabase,
         *,
         workers: int = 2,
         include: tuple[str, ...] = DEFAULT_TOOLS,
@@ -376,8 +315,10 @@ class PoolBackend(CorpusBackend):
         cache_dir: str | None = None,
         dedup: bool = False,
         fault_plan: "FaultPlan | None" = None,
+        substrate_source: str = "provided",
     ) -> None:
-        self._spec = spec
+        self._framework = framework
+        self._apidb = apidb
         self.workers = max(1, workers)
         self.include = tuple(include)
         #: Per-app wall-clock budget, enforced inside the worker.
@@ -395,20 +336,19 @@ class PoolBackend(CorpusBackend):
         #: The entry each busy slot is analyzing, and when it was sent.
         self._inflight: dict[int, tuple[Entry, float]] = {}
         self._worker_stats: dict[int, dict] = {}
-        #: The apps published to forked workers by index.
+        #: The apps forked workers are given by index.
         self._apps: dict[int, ForgedApp] = {}
-        self._snapshot_file: str | None = None
-        self._segment = None
         self._started = False
         self._closed = False
         self.restarts = 0
-        self.substrate_source: str | None = None
+        #: Where the caller got the substrate (``/healthz`` reports it).
+        self.substrate_source = substrate_source
 
     # -- CorpusBackend surface -----------------------------------------
 
     @property
     def spec(self) -> FrameworkSpec:
-        return self._spec
+        return self._framework.spec
 
     @property
     def tool_names(self) -> tuple[str, ...]:
@@ -429,6 +369,12 @@ class PoolBackend(CorpusBackend):
 
     def finish(self, cache_dir) -> dict:
         merged = self.cache_stats()
+        if cache_dir is not None:
+            from ..cache import ensure_snapshot
+
+            # Snapshot the substrate (only written when missing) so the
+            # next cold process loads it instead of rebuilding.
+            ensure_snapshot(cache_dir, self._framework, self._apidb)
         if self.dedup and self.cache_dir is not None:
             # Workers write class artifacts atomically but save the
             # shared manifest last-writer-wins; the parent adopts
@@ -439,7 +385,7 @@ class PoolBackend(CorpusBackend):
 
             store = class_store(
                 self.cache_dir,
-                framework_fingerprint=fingerprint_spec(self._spec),
+                framework_fingerprint=fingerprint_spec(self.spec),
                 config_fingerprint=fingerprint_config(
                     ("SAINTDroid",), {"classes": CLASS_ARTIFACT_VERSION}
                 ),
@@ -455,33 +401,12 @@ class PoolBackend(CorpusBackend):
 
     # -- lifecycle -----------------------------------------------------
 
-    def start(
-        self,
-        substrate: "tuple[FrameworkRepository, object] | None" = None,
-        pending=(),
-    ) -> None:
-        """Load (or adopt) the substrate once, warm the framework
-        levels the ``pending`` entries target, publish substrate and
-        apps to the workers, and fork the pool.  Idempotent."""
+    def start(self, pending=()) -> None:
+        """Warm the framework levels the ``pending`` entries target and
+        start one worker per slot.  Idempotent."""
         if self._started:
             return
-        if substrate is None:
-            from ..cache.snapshot import load_or_build_substrate
-
-            framework, apidb, source = load_or_build_substrate(
-                self.cache_dir, self._spec
-            )
-        else:
-            framework, apidb = substrate
-            source = "provided"
-        self.substrate_source = source
-        register_database(self._spec, apidb)
-        if self.cache_dir is not None:
-            from ..cache import ensure_snapshot
-
-            self._snapshot_file = str(
-                ensure_snapshot(self.cache_dir, framework, apidb)
-            )
+        framework = self._framework
         levels = _pending_levels(pending)
         for level in levels:
             try:
@@ -494,30 +419,15 @@ class PoolBackend(CorpusBackend):
             # Materialize the table parent-side so forked workers
             # inherit it as copy-on-write pages.
             table = summary_table(
-                framework, apidb, store_dir=self.cache_dir
+                framework, self._apidb, store_dir=self.cache_dir
             )
             for level in levels:
                 try:
                     table.level_summaries(level)
                 except ValueError:  # pragma: no cover — range-checked
                     continue
-        global _PARENT_SUBSTRATE, _APPS
-        _PARENT_SUBSTRATE = (framework, apidb)
-        fork = self._ctx.get_start_method() == "fork"
-        if fork:
+        if self._ctx.get_start_method() == "fork":
             self._apps = {index: forged for index, forged, _ in pending}
-            _APPS = self._apps
-        # Non-fork workers (and chaos runs forcing the segment path)
-        # attach a shared segment instead of inheriting the substrate.
-        if not fork or os.environ.get("REPRO_FORCE_SHARED_SUBSTRATE"):
-            from ..cache import fingerprint_spec
-            from ..cache.shared import SharedSubstrate
-            from ..cache.snapshot import substrate_payload
-
-            key = fingerprint_spec(self._spec)
-            self._segment = SharedSubstrate.publish(
-                substrate_payload(framework, apidb, key), key
-            )
         for slot in range(self.workers):
             self._spawn(slot)
         self._started = True
@@ -530,10 +440,10 @@ class PoolBackend(CorpusBackend):
                 child_conn,
                 self._heartbeat,
                 slot,
-                self._spec,
+                self._apps,
+                self._framework,
+                self._apidb,
                 self.include,
-                self._snapshot_file,
-                self._segment.handle if self._segment is not None else None,
                 self.summaries,
                 self.cache_dir,
                 self.dedup,
@@ -558,10 +468,9 @@ class PoolBackend(CorpusBackend):
         self._spawn(slot)
 
     def close(self) -> None:
-        """Stop every worker and release what the pool published (the
-        app map, the parent substrate, the shared segment).  Idempotent
-        and safe mid-round or before :meth:`start`: the engines call
-        it from a ``finally``."""
+        """Stop every worker and drop the app map.  Idempotent and safe
+        mid-round or before :meth:`start`: the engines call it from a
+        ``finally``."""
         if self._closed:
             return
         self._closed = True
@@ -588,18 +497,7 @@ class PoolBackend(CorpusBackend):
                 pass
         self._pool = [None] * self.workers
         self._inflight.clear()
-        global _PARENT_SUBSTRATE, _APPS
-        if _APPS is self._apps:
-            _APPS = {}
         self._apps = {}
-        if self._segment is not None:
-            self._segment.close(unlink=True)
-            self._segment = None
-        if (
-            _PARENT_SUBSTRATE is not None
-            and _PARENT_SUBSTRATE[0].spec is self._spec
-        ):
-            _PARENT_SUBSTRATE = None
 
     # -- dispatch ------------------------------------------------------
 
@@ -613,7 +511,7 @@ class PoolBackend(CorpusBackend):
 
     def _task(self, entry: Entry) -> tuple:
         """The message one entry travels as: a forked worker already
-        holds a published app, so only its index goes over the pipe."""
+        holds a batch run's app, so only its index goes over the pipe."""
         index, forged, attempt = entry
         fault = (
             self.fault_plan.analysis_fault_for(index)

@@ -590,9 +590,9 @@ def run_tools(
     """Analyze every app with every tool.
 
     ``jobs > 1`` fans the corpus out over a pool of ``jobs`` worker
-    processes that attach to one parent-prepared framework repository
-    + API database (see :mod:`repro.eval.parallel`); results come back
-    in corpus order regardless of completion order.
+    processes that all analyze over ``toolset``'s framework repository
+    and API database (see :mod:`repro.eval.parallel`); results come
+    back in corpus order regardless of completion order.
 
     ``max_retries`` re-attempts retryable failures (timeout,
     worker-lost, resource) before quarantining the app;
@@ -622,7 +622,8 @@ def run_tools(
         from .parallel import PoolBackend
 
         backend = PoolBackend(
-            toolset.framework.spec,
+            toolset.framework,
+            toolset.apidb,
             workers=jobs,
             include=toolset.tool_names,
             timeout_s=timeout_s,

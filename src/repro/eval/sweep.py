@@ -70,8 +70,7 @@ def _sweep_point(
     cache_dir: str | None = None,
     summaries: bool = False,
 ) -> SweepPoint:
-    """One self-contained sweep measurement (module-level so parallel
-    sweeps can ship it to pool workers)."""
+    """One self-contained sweep measurement."""
     spec = build_spec(bulk_classes=bulk, seed=seed)
     if cache_dir is not None:
         # Each sweep point is its own framework, so each gets its own
@@ -121,35 +120,15 @@ def sweep_framework_scale(
     *,
     probes_per_point: int = 3,
     seed: int = 11,
-    jobs: int = 1,
     cache_dir: str | None = None,
     summaries: bool = False,
 ) -> list[SweepPoint]:
-    """Measure SAINTDroid vs CID across framework sizes.
-
-    Sweep points are independent measurements, so ``jobs > 1`` runs
-    them concurrently (one point per worker); results keep the
-    ``bulk_sizes`` order either way.  ``cache_dir`` snapshots each
-    point's framework substrate so a repeated sweep re-mines nothing.
-    ``summaries`` runs SAINTDroid's probes with framework
+    """Measure SAINTDroid vs CID across framework sizes, one point
+    after another in ``bulk_sizes`` order.  ``cache_dir`` snapshots
+    each point's framework substrate so a repeated sweep re-mines
+    nothing.  ``summaries`` runs SAINTDroid's probes with framework
     pre-summaries (same findings, summarized explore phase).
     """
-    if jobs > 1 and len(bulk_sizes) > 1:
-        from concurrent.futures import ProcessPoolExecutor
-
-        with ProcessPoolExecutor(
-            max_workers=min(jobs, len(bulk_sizes))
-        ) as pool:
-            return list(
-                pool.map(
-                    _sweep_point,
-                    bulk_sizes,
-                    (probes_per_point,) * len(bulk_sizes),
-                    (seed,) * len(bulk_sizes),
-                    (cache_dir,) * len(bulk_sizes),
-                    (summaries,) * len(bulk_sizes),
-                )
-            )
     return [
         _sweep_point(bulk, probes_per_point, seed, cache_dir, summaries)
         for bulk in bulk_sizes

@@ -146,9 +146,9 @@ class FrameworkRepository:
         """Pre-warm the class cache with the complete image at
         ``level`` so every later lazy lookup is a hit; returns how many
         classes were newly installed.  This is the parent-side prep for
-        pool runs: warm once here, and every forked worker (or shared-
-        segment attacher) starts with the whole level warm instead of
-        each re-materializing its own working set."""
+        pool runs: warm once here, and every pool worker starts with
+        the whole level warm instead of each re-materializing its own
+        working set."""
         before = len(self._class_cache)
         self.load_image(level)
         return len(self._class_cache) - before

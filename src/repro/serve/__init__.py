@@ -26,7 +26,7 @@ Robustness is the headline, not a footnote:
   malformed package ⇒ 400 — and identical APK fingerprints are
   answered in O(1) from the content-addressed result cache;
 * **graceful drain** on SIGTERM: stop admitting, finish in-flight
-  work, flush the journal, unlink shared-memory segments.
+  work, stop the workers, flush the journal.
 
 Layers (one module each): :mod:`jobs` (the job model),
 :mod:`journal` (the WAL), :mod:`queue` (admission + job source),

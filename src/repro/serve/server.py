@@ -23,8 +23,8 @@ GET     ``/statsz``     always **200**: cumulative cache counters — result-
 ======  ==============  =====================================================
 
 :func:`install_signal_handlers` wires SIGTERM/SIGINT to the graceful
-drain: stop admitting, finish in-flight jobs, flush the journal,
-unlink shared segments, then stop the HTTP loop.  The handler is
+drain: stop admitting, finish in-flight jobs, stop the workers, flush
+the journal, then stop the HTTP loop.  The handler is
 once-guarded *and* the drain itself is idempotent, so a second signal
 mid-drain is absorbed.
 """

@@ -16,7 +16,7 @@ serve`` — tests and benchmarks drive it in-process, the HTTP layer
 ``drain()``
     the graceful-shutdown path (SIGTERM): stop admitting, let the
     dispatcher finish every in-flight job, stop the workers, flush
-    journal and cache, unlink shared-memory segments.  Idempotent —
+    journal and cache.  Idempotent —
     a second SIGTERM mid-drain is absorbed, not amplified.
 
 ``health()`` / ``ready()``
@@ -177,8 +177,18 @@ class AnalysisService:
             fault_plan=config.fault_plan,
             start_seq=(recovery.max_seq + 1) if recovery else 0,
         )
+        if self._substrate is not None:
+            framework, apidb = self._substrate
+            source = "provided"
+        else:
+            from ..cache.snapshot import load_or_build_substrate
+
+            framework, apidb, source = load_or_build_substrate(
+                config.cache_dir, self.spec
+            )
         self.pool = PoolBackend(
-            self.spec,
+            framework,
+            apidb,
             workers=config.workers,
             include=config.include,
             timeout_s=config.timeout_s,
@@ -187,8 +197,9 @@ class AnalysisService:
             cache_dir=config.cache_dir,
             dedup=config.dedup,
             fault_plan=config.fault_plan,
+            substrate_source=source,
         )
-        self.pool.start(self._substrate)
+        self.pool.start()
         replayed = self._replay(recovery)
         self._dispatcher = threading.Thread(
             target=self._dispatch, name="serve-dispatcher", daemon=True

@@ -26,6 +26,7 @@ from repro.eval import (
 )
 from repro.eval.faults import FaultKind, FaultPlan, InjectedFault
 from repro.eval.orchestration import run_corpus
+from repro.framework.repository import FrameworkRepository
 from repro.workload.appgen import ForgedApp
 from repro.workload.corpus import CorpusConfig, generate_corpus
 from repro.workload.groundtruth import GroundTruth
@@ -94,6 +95,26 @@ class TestEquivalence:
         assert stats["framework"]["class_hits"] > 0
         assert stats["apidb"]["levels_hits"] > 0
         assert 0.0 < stats["apidb"]["hit_rate"] <= 1.0
+
+    def test_pool_adopts_the_callers_substrate(
+        self, spec, apidb, saintdroid, small_corpus
+    ):
+        """The pool warms the caller's own repository (no second one
+        is built) and its findings equal a serial run's."""
+        framework = FrameworkRepository(spec)
+        assert framework.export_class_cache() == {}
+        pooled = run_tools(
+            small_corpus,
+            ToolSet.default(framework, apidb, include=("SAINTDroid",)),
+            jobs=2,
+        )
+        levels = {
+            forged.apk.manifest.effective_max_sdk for forged in small_corpus
+        }
+        warmed = {level for level, _name in framework.export_class_cache()}
+        assert warmed == levels
+        serial = run_tools(small_corpus, saintdroid)
+        assert pooled.findings_fingerprint() == serial.findings_fingerprint()
 
     def test_empty_corpus(self, saintdroid):
         out = run_tools([], saintdroid, jobs=2)
@@ -173,8 +194,9 @@ class TestScheduling:
 
 @pytest.fixture()
 def task_spy(monkeypatch):
-    """Records, parent-side, every task the pool sends, with the
-    published app map and the pool's respawn count at that moment."""
+    """Records, parent-side, every task the pool sends, with the pool,
+    the app map its workers were given and its respawn count at that
+    moment."""
     sent: list[dict] = []
     original = parallel.PoolBackend._task
 
@@ -183,7 +205,8 @@ def task_spy(monkeypatch):
         sent.append(
             {
                 "task": task,
-                "apps": dict(parallel._APPS),
+                "backend": self,
+                "apps": dict(self._apps),
                 "restarts": self.restarts,
             }
         )
@@ -210,19 +233,20 @@ class TestAppShipping:
         assert all(task[1] is None for task in tasks)
         for sent in task_spy:
             assert sent["apps"] == dict(enumerate(small_corpus))
-        assert parallel._APPS == {}
+        assert task_spy[-1]["backend"]._apps == {}
 
     def test_respawned_slot_is_sent_indices_only(
-        self, spec, saintdroid, small_corpus, task_spy
+        self, framework, apidb, saintdroid, small_corpus, task_spy
     ):
-        """A slot respawned after a worker death forks from a parent
-        that still publishes the apps, so it too gets indices only."""
+        """A slot respawned after a worker death is given the same app
+        map as the first worker, so it too gets indices only."""
         apps = small_corpus[:3]
         plan = FaultPlan(
             faults={0: InjectedFault(FaultKind.WORKER_DEATH, 1)}
         )
         backend = parallel.PoolBackend(
-            spec,
+            framework,
+            apidb,
             workers=1,
             include=("SAINTDroid",),
             hang_timeout_s=None,
@@ -236,25 +260,29 @@ class TestAppShipping:
         # Apps 1 and 2 plus app 0's retry all went to the new worker.
         assert sorted(task[0] for task in after_respawn) == [0, 1, 2]
         assert all(sent["task"][1] is None for sent in task_spy)
-        assert parallel._APPS == {}
+        assert backend._apps == {}
 
     def test_app_map_cleared_when_a_round_raises(
-        self, spec, small_corpus, monkeypatch
+        self, framework, apidb, small_corpus, monkeypatch
     ):
         maps: list[dict] = []
 
         def _raising(self, entry):
-            maps.append(dict(parallel._APPS))
+            maps.append(dict(self._apps))
             raise RuntimeError("dispatch failed")
 
         monkeypatch.setattr(parallel.PoolBackend, "_task", _raising)
         backend = parallel.PoolBackend(
-            spec, workers=2, include=("SAINTDroid",), hang_timeout_s=None
+            framework,
+            apidb,
+            workers=2,
+            include=("SAINTDroid",),
+            hang_timeout_s=None,
         )
         with pytest.raises(RuntimeError, match="dispatch failed"):
             run_corpus(small_corpus, backend)
         assert maps == [dict(enumerate(small_corpus))]
-        assert parallel._APPS == {}
+        assert backend._apps == {}
         assert backend.liveness()["pids"] == [None, None]
 
     def test_spawn_pool_ships_apps_and_matches_serial(
@@ -282,9 +310,6 @@ class TestCli:
         assert parser.parse_args(["table", "2"]).jobs == 1
         assert parser.parse_args(["table", "2", "--jobs", "4"]).jobs == 4
         assert parser.parse_args(["rq2", "--jobs", "2"]).jobs == 2
-        assert parser.parse_args(
-            ["sweep", "--jobs", "3", "--bulk-sizes", "200", "400"]
-        ).jobs == 3
 
     def test_robustness_flags_parse(self):
         parser = build_parser()

@@ -129,20 +129,3 @@ class TestSchedulerParity:
             jobs=2,
         )
         assert parallel.fingerprint() == summarized_run.fingerprint()
-
-    def test_shared_segment_attach_path_matches(
-        self, framework, apidb, corpus, summarized_run, monkeypatch
-    ):
-        """Force the pool to publish + attach the shared-memory
-        substrate segment even under fork, so the zero-copy path is
-        exercised on every platform the tests run on."""
-        monkeypatch.setenv("REPRO_FORCE_SHARED_SUBSTRATE", "1")
-        parallel = run_tools(
-            corpus,
-            ToolSet.default(
-                framework, apidb, include=("SAINTDroid",),
-                summaries=True,
-            ),
-            jobs=2,
-        )
-        assert parallel.fingerprint() == summarized_run.fingerprint()

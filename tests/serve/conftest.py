@@ -1,10 +1,10 @@
 """Serve-suite fixtures.
 
 The session substrate (``framework``/``apidb`` from the root
-conftest) is passed straight into :meth:`AnalysisService` /
-:meth:`PoolBackend.start`, so the daemon tests never pay a second
-substrate build — forked workers inherit the session's objects as
-copy-on-write pages exactly like production fork pools do.
+conftest) is passed straight into :class:`AnalysisService`, so the
+daemon tests never pay a second substrate build — forked workers
+inherit the session's objects as copy-on-write pages exactly like
+production fork pools do.
 """
 
 from __future__ import annotations

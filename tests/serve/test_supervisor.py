@@ -29,15 +29,16 @@ def _forged(tag: str) -> ForgedApp:
 
 
 @pytest.fixture()
-def pool(spec, framework, apidb):
+def pool(framework, apidb):
     sup = PoolBackend(
-        spec,
+        framework,
+        apidb,
         workers=2,
         include=("SAINTDroid",),
         timeout_s=10.0,
         hang_timeout_s=20.0,
     )
-    sup.start((framework, apidb))
+    sup.start()
     yield sup
     sup.close()
 
@@ -116,16 +117,17 @@ class TestWorkerDeath:
 
 class TestHungWorker:
     def test_wedged_worker_is_killed_and_replaced(
-        self, spec, framework, apidb
+        self, framework, apidb
     ):
         sup = PoolBackend(
-            spec,
+            framework,
+            apidb,
             workers=1,
             include=("SAINTDroid",),
             timeout_s=None,  # no in-worker deadline: force the
             hang_timeout_s=0.5,  # parent-side backstop to fire
         )
-        sup.start((framework, apidb))
+        sup.start()
         try:
             plan = FaultPlan(
                 faults={
@@ -145,7 +147,7 @@ class TestHungWorker:
             sup.close()
 
     def test_hang_fires_with_a_large_app_queued(
-        self, spec, framework, apidb
+        self, framework, apidb
     ):
         """The parent sends a task only to an idle worker.  An app
         larger than the socket buffers, queued behind a wedged worker,
@@ -164,7 +166,8 @@ class TestHungWorker:
         big = ForgedApp(apk=big_apk, truth=GroundTruth(app=big_apk.name))
         assert len(pickle.dumps(big)) > 1 << 20
         sup = PoolBackend(
-            spec,
+            framework,
+            apidb,
             workers=1,
             include=("SAINTDroid",),
             timeout_s=None,
@@ -172,7 +175,7 @@ class TestHungWorker:
         )
         # No pending apps at start: every task ships its app, as in
         # the daemon.
-        sup.start((framework, apidb))
+        sup.start()
         try:
             sup.fault_plan = FaultPlan(
                 faults={
@@ -195,10 +198,12 @@ class TestHungWorker:
 
 class TestClose:
     def test_close_is_idempotent_and_clears_the_pool(
-        self, spec, framework, apidb
+        self, framework, apidb
     ):
-        sup = PoolBackend(spec, workers=2, include=("SAINTDroid",))
-        sup.start((framework, apidb))
+        sup = PoolBackend(
+            framework, apidb, workers=2, include=("SAINTDroid",)
+        )
+        sup.start()
         pids = [p for p in sup.liveness()["pids"] if p]
         sup.close()
         sup.close()
