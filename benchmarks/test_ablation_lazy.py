@@ -12,18 +12,17 @@
 import pytest
 
 from repro.core import SaintDroid
-from repro.workload.appgen import ApiPicker, AppForge
+from repro.workload.appgen import AppForge
 
 from .conftest import write_result
 
 
 @pytest.fixture(scope="module")
 def ablation_app(toolset):
-    picker = ApiPicker.of(toolset.apidb)
     forge = AppForge(
         "com.ablation.app", "AblationApp",
         min_sdk=19, target_sdk=26, seed=77,
-        apidb=toolset.apidb, picker=picker,
+        apidb=toolset.apidb,
     )
     for _ in range(3):
         forge.add_direct_issue()

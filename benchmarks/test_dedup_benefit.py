@@ -78,14 +78,14 @@ def dedup_bench(tmp_path_factory) -> dict:
             m.forged for m in generate_overlapping_corpus(CONFIG, apidb)
         ]
 
-    def run_arm(*, dedup: bool, dedup_dir: str | None = None):
+    def run_arm(*, dedup: bool, cache_dir: str | None = None):
         reset_class_stores()
         tools = ToolSet.default(
             framework,
             apidb,
             include=("SAINTDroid",),
             dedup=dedup,
-            dedup_dir=dedup_dir,
+            cache_dir=cache_dir,
         )
         apps = corpus()
         start = time.perf_counter()
@@ -109,11 +109,11 @@ def dedup_bench(tmp_path_factory) -> dict:
 
     store_dir = str(tmp_path_factory.mktemp("dedup-store"))
     cold_results, cold_wall, cold_stats = run_arm(
-        dedup=True, dedup_dir=store_dir
+        dedup=True, cache_dir=store_dir
     )
 
     warm_runs = [
-        run_arm(dedup=True, dedup_dir=store_dir) for _ in range(REPEATS)
+        run_arm(dedup=True, cache_dir=store_dir) for _ in range(REPEATS)
     ]
     warm_results = warm_runs[0][0]
     warm_wall = min(wall for _, wall, _ in warm_runs)

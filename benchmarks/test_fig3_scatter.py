@@ -66,19 +66,18 @@ def test_figure3_scatter_correlates_with_size(benchmark, data):
 def test_figure3_outlier_mechanism(benchmark, toolset, picker_pool=None):
     """A small app with a huge framework vocabulary costs more than a
     plain app of the same size — the paper's top-left outlier."""
-    from repro.workload.appgen import ApiPicker, AppForge
+    from repro.workload.appgen import AppForge
 
     apidb = toolset.apidb
-    picker = ApiPicker.of(apidb)
 
     def build(pool_size):
         forge = AppForge(
             "com.outlier.app", f"Outlier{pool_size}",
             min_sdk=19, target_sdk=26, seed=11,
-            apidb=apidb, picker=picker,
+            apidb=apidb,
         )
         forge._safe_pool = [
-            picker.safe_api(forge._rng) for _ in range(pool_size)
+            forge.picker.safe_api(forge._rng) for _ in range(pool_size)
         ]
         forge.add_filler(kloc=2.0)
         return forge.build().apk

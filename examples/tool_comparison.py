@@ -22,7 +22,7 @@ Run with::
 from repro import Cid, Cider, Lint, SaintDroid
 from repro.core import build_api_database
 from repro.framework import FrameworkRepository
-from repro.workload.appgen import ApiPicker, AppForge
+from repro.workload.appgen import AppForge
 
 EXPLANATIONS = {
     "trap-caller-guard": (
@@ -49,12 +49,11 @@ EXPLANATIONS = {
 def main() -> None:
     framework = FrameworkRepository()
     apidb = build_api_database(framework)
-    picker = ApiPicker.of(apidb)
 
     forge = AppForge(
         "com.demo.tricky", "TrickyApp",
         min_sdk=19, target_sdk=26, seed=2022,
-        apidb=apidb, picker=picker,
+        apidb=apidb,
     )
     trap = forge.add_caller_guard_trap()
     inherited = forge.add_inherited_issue()

@@ -18,16 +18,16 @@ from repro.dynamic import DynamicVerifier, DeviceProfile, Interpreter
 from repro.framework import FrameworkRepository
 from repro.framework.permissions import DANGEROUS_PERMISSIONS
 from repro.repair import RepairEngine
-from repro.workload.appgen import ApiPicker, AppForge
+from repro.workload.appgen import AppForge
 
 
-def build_buggy_app(apidb, picker):
+def build_buggy_app(apidb):
     """An app with two real crashes, one benign pattern that static
     analysis flags anyway, and one unfixable callback issue."""
     forge = AppForge(
         "com.demo.buggy", "BuggyApp",
         min_sdk=19, target_sdk=26, seed=404,
-        apidb=apidb, picker=picker,
+        apidb=apidb,
     )
     forge.add_direct_issue()              # real crash #1
     forge.add_permission_request_issue()  # real crash #2
@@ -40,8 +40,7 @@ def build_buggy_app(apidb, picker):
 def main() -> None:
     framework = FrameworkRepository()
     apidb = build_api_database(framework)
-    picker = ApiPicker.of(apidb)
-    apk = build_buggy_app(apidb, picker)
+    apk = build_buggy_app(apidb)
 
     # 1. static detection ------------------------------------------------
     detector = SaintDroid(framework, apidb)

@@ -54,10 +54,13 @@ from .fingerprint import (
     canonical_json,
     class_key,
     fingerprint_clazz,
+    fingerprint_config,
+    fingerprint_spec,
 )
 from .manifest import atomic_write_bytes, shared_manifest
 
 if TYPE_CHECKING:  # pragma: no cover — import cycle guard
+    from ..framework.spec import FrameworkSpec
     from ..ir.clazz import Clazz
 
 __all__ = [
@@ -66,6 +69,7 @@ __all__ = [
     "ClassStoreStats",
     "ClassStore",
     "class_store",
+    "dedup_store",
     "reset_class_stores",
 ]
 
@@ -383,6 +387,24 @@ def class_store(
         )
         _STORES[key] = store
     return store
+
+
+def dedup_store(
+    cache_dir: str | Path | None, spec: "FrameworkSpec"
+) -> ClassStore:
+    """The store SAINTDroid's ``--dedup`` analyzes against over
+    ``spec``: the one key the dedup pass opens and a run's finish
+    flushes.  The config digest pins only what artifacts depend on —
+    the artifact semantics version.  Detector knobs (ablations,
+    summaries) deliberately do not partition the store: artifacts hold
+    static per-class facts valid under every configuration."""
+    return class_store(
+        cache_dir,
+        framework_fingerprint=fingerprint_spec(spec),
+        config_fingerprint=fingerprint_config(
+            ("SAINTDroid",), {"classes": CLASS_ARTIFACT_VERSION}
+        ),
+    )
 
 
 def registered_stores() -> tuple[ClassStore, ...]:

@@ -537,12 +537,10 @@ def _toolset_kwargs(args: argparse.Namespace) -> dict:
     (the summary table and the class-artifact store persist under the
     cache directory when one is configured)."""
     cache_dir = _cache_dir(args)
-    cache_str = str(cache_dir) if cache_dir is not None else None
     return {
         "summaries": getattr(args, "summaries", False),
-        "summaries_dir": cache_str,
         "dedup": getattr(args, "dedup", False),
-        "dedup_dir": cache_str,
+        "cache_dir": str(cache_dir) if cache_dir is not None else None,
     }
 
 

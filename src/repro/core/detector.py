@@ -48,9 +48,8 @@ class SaintDroid(PipelineDetector):
         propagate_guards_into_anonymous: bool = False,
         analyze_secondary_dex: bool = True,
         framework_summaries: bool = False,
-        summaries_dir: str | None = None,
         dedup: bool = False,
-        dedup_dir: str | None = None,
+        cache_dir: str | None = None,
     ) -> None:
         """``lazy_loading=False`` switches the AUM to closed-world
         loading (the eager ablation: same findings, whole-framework
@@ -58,10 +57,10 @@ class SaintDroid(PipelineDetector):
         documented anonymous-class blind spot.
         ``framework_summaries=True`` bounds the CLVM at the framework
         boundary with whole-framework pre-summaries (same findings as
-        lazy; ``summaries_dir`` persists the table across processes).
-        ``dedup=True`` answers per-class analysis from the corpus-wide
-        content-addressed artifact store (same findings as lazy;
-        ``dedup_dir`` persists artifacts across processes).
+        lazy).  ``dedup=True`` answers per-class analysis from the
+        corpus-wide content-addressed artifact store (same findings as
+        lazy).  ``cache_dir`` persists the summary table and the
+        artifacts across processes.
         """
         super().__init__(
             saintdroid_pipeline(
@@ -71,9 +70,8 @@ class SaintDroid(PipelineDetector):
                 ),
                 analyze_secondary_dex=analyze_secondary_dex,
                 framework_summaries=framework_summaries,
-                summaries_dir=summaries_dir,
                 dedup=dedup,
-                dedup_dir=dedup_dir,
+                cache_dir=cache_dir,
             ),
             framework,
             apidb,

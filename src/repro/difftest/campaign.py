@@ -22,7 +22,6 @@ from pathlib import Path
 from ..core.arm import build_api_database
 from ..eval.runner import RunResults, ToolSet, run_tools
 from ..framework.repository import FrameworkRepository
-from ..workload.appgen import ApiPicker
 from .mutation import MutationResult, run_mutation_pass
 from .oracle import (
     Classification,
@@ -138,13 +137,12 @@ def run_campaign(
     """Run one full differential campaign."""
     framework = framework or FrameworkRepository()
     apidb = apidb or build_api_database(framework)
-    picker = ApiPicker.of(apidb)
     result = CampaignResult(config=config)
 
     # Phase 1: plan + materialize.
     plans = plan_apps(config.seed, config.n_apps, coverage=config.coverage)
     result.plans = plans
-    apps = [materialize(plan, apidb, picker) for plan in plans]
+    apps = [materialize(plan, apidb) for plan in plans]
 
     # Phase 2: static analysis through the orchestration engine.
     toolset = ToolSet.default(
@@ -152,9 +150,8 @@ def run_campaign(
         apidb,
         include=(config.tool,),
         summaries=config.summaries,
-        summaries_dir=config.cache_dir,
         dedup=config.dedup,
-        dedup_dir=config.cache_dir,
+        cache_dir=config.cache_dir,
     )
     run: RunResults = run_tools(
         apps,
@@ -211,7 +208,7 @@ def run_campaign(
         }
         if config.shrink:
             reproduces = build_reproducer(
-                tool, oracle, apidb, picker, record.signature
+                tool, oracle, apidb, record.signature
             )
             if reproduces(plan):
                 shrunk, evaluations = shrink_plan(plan, reproduces)
@@ -235,7 +232,7 @@ def run_campaign(
             config.seed, len(ALL_KINDS), coverage=True
         )
         result.mutation = run_mutation_pass(
-            coverage_plans, tool, apidb, picker
+            coverage_plans, tool, apidb
         )
 
     return result

@@ -332,7 +332,6 @@ def run_mutation_pass(
     plans: list[AppPlan],
     tool,
     apidb,
-    picker=None,
     *,
     catalog: tuple[Mutant, ...] = MUTANT_CATALOG,
 ) -> MutationResult:
@@ -345,7 +344,7 @@ def run_mutation_pass(
     pre-existing disagreement from inflating the score).
     """
     oracle = DifferentialOracle(apidb)
-    apps = [materialize(plan, apidb, picker) for plan in plans]
+    apps = [materialize(plan, apidb) for plan in plans]
 
     baselines: list[frozenset] = []
     for forged in apps:

@@ -269,9 +269,9 @@ PLAN = json.loads("""
 SIGNATURE = {signature!r}
 
 
-def test_no_regression_{digest}(framework, apidb, picker):
+def test_no_regression_{digest}(framework, apidb):
     plan = AppPlan.from_dict(PLAN)
-    forged = materialize(plan, apidb, picker)
+    forged = materialize(plan, apidb)
     tool = SaintDroid(framework, apidb)
     report = tool.analyze(forged.apk)
     records = DifferentialOracle(apidb).examine(forged, report)
@@ -313,7 +313,6 @@ def build_reproducer(
     tool,
     oracle,
     apidb,
-    picker,
     signature: tuple[str, str, str],
 ) -> Callable[[AppPlan], bool]:
     """The plan-level predicate: materialize, analyze, examine, and
@@ -322,7 +321,7 @@ def build_reproducer(
     from .strategy import materialize
 
     def reproduces(plan: AppPlan) -> bool:
-        forged = materialize(plan, apidb, picker)
+        forged = materialize(plan, apidb)
         try:
             report = tool.analyze(forged.apk)
         except Exception:

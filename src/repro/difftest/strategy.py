@@ -28,7 +28,7 @@ from ..core.kinds import scenario_contributions
 from ..ir.builder import ClassBuilder
 from ..ir.instructions import CmpOp
 from ..ir.types import MethodRef
-from ..workload.appgen import ApiPicker, AppForge, ForgedApp
+from ..workload.appgen import AppForge, ForgedApp
 from ..workload.groundtruth import SeededIssue, SeededTrap, Trait
 
 __all__ = [
@@ -546,7 +546,6 @@ def plan_apps(
 def materialize(
     plan: AppPlan,
     apidb: ApiDatabase | None = None,
-    picker: ApiPicker | None = None,
     *,
     trace: list[ScenarioTrace] | None = None,
 ) -> ForgedApp:
@@ -573,7 +572,6 @@ def materialize(
         target_sdk=plan.target_sdk,
         seed=plan.seed,
         apidb=apidb,
-        picker=picker,
     )
     forge.preseed_pools()
     for spec in plan.scenarios:

@@ -702,9 +702,8 @@ def _run_config(
         apidb,
         include=(name,),
         summaries=config.summaries,
-        summaries_dir=config.cache_dir,
         dedup=config.dedup,
-        dedup_dir=config.cache_dir,
+        cache_dir=config.cache_dir,
     )
     return run_tools(
         apps,

@@ -66,26 +66,23 @@ def apk_fingerprint(forged: ForgedApp) -> str | None:
 class CorpusBackend:
     """What a scheduler must provide to :func:`run_corpus`.
 
-    One backend instance serves one run; it may keep round-spanning
-    state (worker cache accounting, a prebuilt substrate).
+    One backend instance serves one run, analyzing with one
+    :class:`~repro.eval.runner.ToolSet`; it may keep round-spanning
+    state (worker cache accounting).
     """
+
+    def __init__(self, toolset: ToolSet) -> None:
+        self.toolset = toolset
 
     @property
     def spec(self):
         """The framework spec keying the persistent cache."""
-        raise NotImplementedError
+        return self.toolset.framework.spec
 
     @property
     def tool_names(self) -> tuple[str, ...]:
         """Tool names, in report order (keys checkpoint + cache)."""
-        raise NotImplementedError
-
-    def config_options(self) -> dict:
-        """Findings-relevant configuration beyond the tool names
-        (e.g. ``{"summaries": True}``).  Keys the persistent result
-        cache together with :attr:`tool_names`; must stay empty for
-        the default configuration so existing caches remain valid."""
-        return {}
+        return self.toolset.tool_names
 
     def prepare(
         self,
@@ -104,9 +101,28 @@ class CorpusBackend:
         (in any order; :func:`run_corpus` restores corpus order)."""
         raise NotImplementedError
 
+    def cache_stats(self) -> dict:
+        """The run's cache accounting so far."""
+        return self.toolset.cache_stats()
+
     def finish(self, cache_dir: str | Path | None) -> dict:
-        """Tear down and return the run's cache accounting."""
-        raise NotImplementedError
+        """Persist what outlives the run and return its cache
+        accounting."""
+        toolset = self.toolset
+        if cache_dir is not None:
+            from ..cache import ensure_snapshot
+
+            # Snapshot the substrate (only written when missing) so the
+            # next cold process loads it instead of rebuilding.
+            ensure_snapshot(cache_dir, toolset.framework, toolset.apidb)
+        if toolset.dedup and toolset.cache_dir is not None:
+            from ..cache.classes import dedup_store
+
+            # Settle the class-artifact store: adopt entries whose
+            # writer (a pool worker) did not save the shared manifest
+            # last, enforce the byte budget, persist the manifest.
+            dedup_store(toolset.cache_dir, self.spec).flush()
+        return self.cache_stats()
 
     def close(self) -> None:
         """Release what outlives a round (worker processes).  Called
@@ -124,25 +140,9 @@ class SerialBackend(CorpusBackend):
         timeout_s: float | None = None,
         fault_plan=None,
     ) -> None:
-        self._toolset = toolset
+        super().__init__(toolset)
         self._timeout_s = timeout_s
         self._fault_plan = fault_plan
-
-    @property
-    def spec(self):
-        return self._toolset.framework.spec
-
-    @property
-    def tool_names(self) -> tuple[str, ...]:
-        return self._toolset.tool_names
-
-    def config_options(self) -> dict:
-        options: dict = {}
-        if self._toolset.summaries:
-            options["summaries"] = True
-        if self._toolset.dedup:
-            options["dedup"] = True
-        return options
 
     def run_round(
         self, pending: list[Entry], round_no: int
@@ -155,28 +155,12 @@ class SerialBackend(CorpusBackend):
                 else None
             )
             yield entry, analyze_app(
-                self._toolset,
+                self.toolset,
                 forged,
                 timeout_s=self._timeout_s,
                 fault=fault,
                 attempt=attempt,
             )
-
-    def finish(self, cache_dir: str | Path | None) -> dict:
-        if cache_dir is not None:
-            from ..cache import ensure_snapshot
-            from ..cache.classes import registered_stores
-
-            # Snapshot the substrate (only written when missing) so the
-            # next cold process loads it instead of rebuilding.
-            ensure_snapshot(
-                cache_dir, self._toolset.framework, self._toolset.apidb
-            )
-            # Settle the class-artifact stores: adopt stray entries,
-            # enforce the byte budget, persist the manifest.
-            for store in registered_stores():
-                store.flush()
-        return self._toolset.cache_stats()
 
 
 def run_corpus(
@@ -248,7 +232,7 @@ def run_corpus(
             # byte-identical to the pre-options era, so existing
             # caches stay warm.
             config_fingerprint=fingerprint_config(
-                backend.tool_names, backend.config_options() or None
+                backend.tool_names, backend.toolset.config_options() or None
             ),
         )
         still_pending: list[Entry] = []

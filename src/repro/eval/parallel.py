@@ -7,14 +7,18 @@ API database).  :class:`PoolBackend` is the only process pool in the
 package: ``run_tools(jobs=N)`` (so ``table``, ``rq2``, ``figure``,
 ``difftest`` and ``compare``) and the ``serve`` daemon both run on it.
 
-* **one substrate** — the caller hands the pool its framework
-  repository and API database.  The parent warms the framework levels
-  the pending apps target (and the framework summary table, when
-  enabled) in that repository, then passes both objects to every
-  worker as process arguments.  Under fork they are not pickled: the
-  worker inherits them as copy-on-write pages.  Under spawn each
-  worker unpickles them once.  Every app a worker analyzes then hits
-  its framework class cache and database memo tables;
+* **one tool set** — the caller hands the pool its
+  :class:`~repro.eval.runner.ToolSet`: the tools, the framework
+  repository and API database they share, and the summaries/dedup
+  configuration with its cache directory.  The parent warms the
+  framework levels the pending apps target (and the framework summary
+  table, when enabled) in that repository, then passes the tool set
+  to every worker as a process argument.  Under fork it is not
+  pickled: the worker inherits it as copy-on-write pages.  Under
+  spawn each worker unpickles it once.  Every worker therefore runs
+  exactly the analyzer the serial loop would, a caller-built tool
+  included, and every app it analyzes hits the framework class cache
+  and database memo tables;
 * **per-slot workers** — each slot is one forked process with a
   private duplex pipe and a heartbeat cell; a worker loops
   ``recv task → analyze_app → send result`` for the life of the pool,
@@ -60,14 +64,14 @@ from dataclasses import dataclass
 from multiprocessing import connection
 from typing import TYPE_CHECKING
 
-from ..core.apidb import ApiDatabase
+from ..cache.classes import ClassStoreStats
+from ..core.apidb import DbCacheCounters
 from ..core.arm import register_database
 from ..core.errors import AnalysisError, AnalysisPhase, ErrorKind
-from ..framework.repository import FrameworkCacheStats, FrameworkRepository
-from ..framework.spec import FrameworkSpec
+from ..framework.repository import FrameworkCacheStats
 from ..workload.appgen import ForgedApp
 from .orchestration import CorpusBackend, Entry
-from .runner import AppResult, DEFAULT_TOOLS, ToolSet, analyze_app
+from .runner import AppResult, ToolSet, analyze_app, summed_stats
 
 if TYPE_CHECKING:  # pragma: no cover — import cycle guard
     from .faults import FaultPlan
@@ -77,40 +81,11 @@ __all__ = ["PoolBackend"]
 
 # -- worker side -----------------------------------------------------------
 
-def _init_worker(
-    framework: FrameworkRepository,
-    apidb: ApiDatabase,
-    include: tuple[str, ...],
-    summaries: bool,
-    cache_dir: str | None,
-    dedup: bool,
-) -> ToolSet:
-    """Build this worker's tool set over the caller's substrate; every
-    app the worker analyzes reuses it — this is where the cross-app
-    framework/database caches live."""
-    # A spawned worker holds an unpickled copy: make later
-    # build_api_database() calls over its spec memo hits.
-    register_database(framework.spec, apidb)
-    # The substrate carries whatever cache counters its builder
-    # accumulated — a warm start we gladly keep, but the accounting
-    # must cover only this worker's activity.
-    apidb.reset_cache_counters()
-    framework.cache_stats = FrameworkCacheStats()
-    return ToolSet.default(
-        framework,
-        apidb,
-        include=include,
-        summaries=summaries,
-        summaries_dir=cache_dir,
-        dedup=dedup,
-        dedup_dir=cache_dir,
-    )
-
-
-def _worker_main(conn, heartbeat, slot: int, apps, *bootstrap) -> None:
-    """One pool worker: build its tool set (``bootstrap`` is
-    :func:`_init_worker`'s arguments), then serve tasks off the pipe
-    until the ``None`` sentinel (or pipe loss).  ``apps`` maps corpus
+def _worker_main(conn, heartbeat, slot: int, apps, toolset: ToolSet) -> None:
+    """One pool worker: analyze with the caller's ``toolset`` — every
+    app the worker analyzes reuses it, so this is where the cross-app
+    framework/database caches live — serving tasks off the pipe until
+    the ``None`` sentinel (or pipe loss).  ``apps`` maps corpus
     indices to the apps a task may name by index alone."""
     import signal as _signal
 
@@ -120,7 +95,15 @@ def _worker_main(conn, heartbeat, slot: int, apps, *bootstrap) -> None:
         _signal.signal(_signal.SIGTERM, _signal.SIG_DFL)
     except (ValueError, OSError):  # pragma: no cover
         pass
-    toolset = _init_worker(*bootstrap)
+    framework, apidb = toolset.framework, toolset.apidb
+    # A spawned worker holds an unpickled copy: make later
+    # build_api_database() calls over its spec memo hits.
+    register_database(framework.spec, apidb)
+    # The substrate carries whatever cache counters its builder
+    # accumulated — a warm start we gladly keep, but the accounting
+    # must cover only this worker's activity.
+    apidb.reset_cache_counters()
+    framework.cache_stats = FrameworkCacheStats()
     heartbeat[slot] = time.time()
     parent = os.getppid()
     while True:
@@ -200,79 +183,28 @@ def _worker_lost_results(
 
 def _merge_cache_stats(snapshots: dict[int, dict]) -> dict:
     """Sum per-worker cumulative snapshots into one corpus view."""
-    merged = {
-        "workers": len(snapshots),
-        "framework": {
-            "class_hits": 0,
-            "class_misses": 0,
-            "image_hits": 0,
-            "image_misses": 0,
-        },
-        "apidb": {
-            "resolve_hits": 0,
-            "resolve_misses": 0,
-            "levels_hits": 0,
-            "levels_misses": 0,
-            "permission_hits": 0,
-            "permission_misses": 0,
-        },
-    }
-    per_worker_rates = []
-    for snapshot in snapshots.values():
-        for section in ("framework", "apidb"):
-            for key in merged[section]:
-                merged[section][key] += snapshot[section].get(key, 0)
-        worker_fw = snapshot["framework"]
-        worker_total = (
-            worker_fw.get("class_hits", 0)
-            + worker_fw.get("class_misses", 0)
-        )
-        per_worker_rates.append(
-            worker_fw.get("class_hits", 0) / worker_total
-            if worker_total
-            else 0.0
-        )
-    fw = merged["framework"]
-    class_total = fw["class_hits"] + fw["class_misses"]
-    fw["hit_rate"] = fw["class_hits"] / class_total if class_total else 0.0
+    workers = snapshots.values()
+    framework = summed_stats(
+        FrameworkCacheStats, (s["framework"] for s in workers)
+    )
     # Each worker's own rate, not just the blended one: the blend can
     # hide a single cold worker re-materializing the world.
-    fw["per_worker_hit_rates"] = sorted(
-        round(rate, 4) for rate in per_worker_rates
-    )
-    db = merged["apidb"]
-    hits = db["resolve_hits"] + db["levels_hits"] + db["permission_hits"]
-    misses = (
-        db["resolve_misses"] + db["levels_misses"] + db["permission_misses"]
-    )
-    db["hit_rate"] = hits / (hits + misses) if hits + misses else 0.0
-    # Class-artifact store traffic (only present in --dedup workers;
-    # older snapshots without the section merge cleanly).
-    classes: dict[str, float] = {}
-    seen_classes = False
-    for snapshot in snapshots.values():
-        section = snapshot.get("classes")
-        if not section:
-            continue
-        seen_classes = True
-        for key, value in section.items():
-            if key.endswith("_rate"):
-                continue
-            classes[key] = classes.get(key, 0) + value
-    if seen_classes:
-        hits = classes.get("hits", 0)
-        misses = classes.get("misses", 0)
-        classes["hit_rate"] = (
-            hits / (hits + misses) if hits + misses else 0.0
+    framework["per_worker_hit_rates"] = sorted(
+        round(
+            summed_stats(FrameworkCacheStats, [s["framework"]])["hit_rate"],
+            4,
         )
-        guard_hits = classes.get("guard_hits", 0)
-        guard_misses = classes.get("guard_misses", 0)
-        classes["guard_hit_rate"] = (
-            guard_hits / (guard_hits + guard_misses)
-            if guard_hits + guard_misses
-            else 0.0
-        )
-        merged["classes"] = classes
+        for s in workers
+    )
+    merged = {
+        "workers": len(snapshots),
+        "framework": framework,
+        "apidb": summed_stats(DbCacheCounters, (s["apidb"] for s in workers)),
+    }
+    # Class-artifact store traffic (only present in --dedup workers).
+    classes = [s["classes"] for s in workers if s.get("classes")]
+    if classes:
+        merged["classes"] = summed_stats(ClassStoreStats, classes)
     return merged
 
 
@@ -304,31 +236,20 @@ class PoolBackend(CorpusBackend):
 
     def __init__(
         self,
-        framework: FrameworkRepository,
-        apidb: ApiDatabase,
+        toolset: ToolSet,
         *,
         workers: int = 2,
-        include: tuple[str, ...] = DEFAULT_TOOLS,
         timeout_s: float | None = None,
         hang_timeout_s: float | None = 30.0,
-        summaries: bool = False,
-        cache_dir: str | None = None,
-        dedup: bool = False,
         fault_plan: "FaultPlan | None" = None,
-        substrate_source: str = "provided",
     ) -> None:
-        self._framework = framework
-        self._apidb = apidb
+        super().__init__(toolset)
         self.workers = max(1, workers)
-        self.include = tuple(include)
         #: Per-app wall-clock budget, enforced inside the worker.
         self.timeout_s = timeout_s
         #: Parent-side backstop on top of ``timeout_s`` before a busy
         #: worker is declared hung and replaced; ``None`` never kills.
         self.hang_timeout_s = hang_timeout_s
-        self.summaries = summaries
-        self.cache_dir = cache_dir
-        self.dedup = dedup
         self.fault_plan = fault_plan
         self._ctx = _pool_context()
         self._heartbeat = self._ctx.Array("d", self.workers, lock=False)
@@ -341,57 +262,13 @@ class PoolBackend(CorpusBackend):
         self._started = False
         self._closed = False
         self.restarts = 0
-        #: Where the caller got the substrate (``/healthz`` reports it).
-        self.substrate_source = substrate_source
 
     # -- CorpusBackend surface -----------------------------------------
-
-    @property
-    def spec(self) -> FrameworkSpec:
-        return self._framework.spec
-
-    @property
-    def tool_names(self) -> tuple[str, ...]:
-        return self.include
-
-    def config_options(self) -> dict:
-        options: dict = {}
-        if self.summaries:
-            options["summaries"] = True
-        if self.dedup:
-            options["dedup"] = True
-        return options
 
     def prepare(self, cache_dir, pending=()) -> None:
         # A batch run starts the pool here, once the work list is
         # known; the daemon has started it already and this is a no-op.
         self.start(pending=pending)
-
-    def finish(self, cache_dir) -> dict:
-        merged = self.cache_stats()
-        if cache_dir is not None:
-            from ..cache import ensure_snapshot
-
-            # Snapshot the substrate (only written when missing) so the
-            # next cold process loads it instead of rebuilding.
-            ensure_snapshot(cache_dir, self._framework, self._apidb)
-        if self.dedup and self.cache_dir is not None:
-            # Workers write class artifacts atomically but save the
-            # shared manifest last-writer-wins; the parent adopts
-            # anything the surviving manifest missed and enforces the
-            # byte budget.
-            from ..cache import fingerprint_config, fingerprint_spec
-            from ..cache.classes import CLASS_ARTIFACT_VERSION, class_store
-
-            store = class_store(
-                self.cache_dir,
-                framework_fingerprint=fingerprint_spec(self.spec),
-                config_fingerprint=fingerprint_config(
-                    ("SAINTDroid",), {"classes": CLASS_ARTIFACT_VERSION}
-                ),
-            )
-            store.flush()
-        return merged
 
     def cache_stats(self) -> dict:
         """Merged per-worker cache statistics (latest snapshot per
@@ -406,20 +283,21 @@ class PoolBackend(CorpusBackend):
         start one worker per slot.  Idempotent."""
         if self._started:
             return
-        framework = self._framework
+        toolset = self.toolset
+        framework = toolset.framework
         levels = _pending_levels(pending)
         for level in levels:
             try:
                 framework.warm_level(level)
             except ValueError:  # level outside the modeled range
                 continue
-        if self.summaries:
+        if toolset.summaries:
             from ..analysis.fwsummaries import summary_table
 
             # Materialize the table parent-side so forked workers
             # inherit it as copy-on-write pages.
             table = summary_table(
-                framework, self._apidb, store_dir=self.cache_dir
+                framework, toolset.apidb, store_dir=toolset.cache_dir
             )
             for level in levels:
                 try:
@@ -441,12 +319,7 @@ class PoolBackend(CorpusBackend):
                 self._heartbeat,
                 slot,
                 self._apps,
-                self._framework,
-                self._apidb,
-                self.include,
-                self.summaries,
-                self.cache_dir,
-                self.dedup,
+                self.toolset,
             ),
             daemon=True,
         )
@@ -654,5 +527,4 @@ class PoolBackend(CorpusBackend):
             "restarts": self.restarts,
             "pids": pids,
             "heartbeat_age_s": heartbeat_age,
-            "substrate_source": self.substrate_source,
         }

@@ -6,12 +6,12 @@ constructed once for a given framework … upon which the compatibility
 analysis of all apps relies") — so the per-app measurements contain no
 database-construction noise.
 
-Corpus-scale runs fan out over a process pool (``jobs > 1``); the
-scheduling, worker bootstrap, and result-ordering machinery lives in
-:mod:`repro.eval.parallel`.  Both paths funnel every app through
-:func:`analyze_app`, so a parallel run produces results identical to a
-serial one (verified by :meth:`RunResults.fingerprint` equality in the
-test suite).
+Corpus-scale runs fan out over a process pool (``jobs > 1``) whose
+workers analyze with the caller's :class:`ToolSet`; the scheduling and
+result-ordering machinery lives in :mod:`repro.eval.parallel`.  Both
+paths funnel every app through :func:`analyze_app`, so a parallel run
+produces results identical to a serial one (verified by
+:meth:`RunResults.fingerprint` equality in the test suite).
 
 Fault tolerance (both paths):
 
@@ -69,11 +69,11 @@ DEFAULT_TOOLS = ("SAINTDroid", "CID", "CIDER", "Lint")
 
 #: Every registered tool/ablation configuration, in the canonical
 #: order campaigns iterate them.  The two SAINTDroid ablations are
-#: name-addressable (not constructor-flag-only) so the process pool
-#: and the serve daemon — whose workers rebuild tools from *names*
-#: via :meth:`ToolSet.default` — reconstruct them faithfully.  An
-#: ablation's reports, checkpoint headers, and cache keys all carry
-#: its configuration name, never plain ``SAINTDroid``.
+#: name-addressable (not constructor-flag-only) so a campaign, the
+#: CLI and the serve daemon can select them with
+#: :meth:`ToolSet.default`'s ``include``.  An ablation's reports,
+#: checkpoint headers, and cache keys all carry its configuration
+#: name, never plain ``SAINTDroid``.
 ALL_TOOL_CONFIGS = (
     "SAINTDroid",
     "SAINTDroid-eager",
@@ -102,19 +102,25 @@ class AppTimeoutError(Exception):
 
 @dataclass
 class ToolSet:
-    """The four detectors sharing one framework + database."""
+    """The detectors sharing one framework + database: one object
+    describes a run's analysis configuration, and the serial loop and
+    every pool worker analyze with this same instance."""
 
     framework: FrameworkRepository
     apidb: ApiDatabase
     tools: list
     #: True when SAINTDroid runs with framework pre-summaries (the
-    #: summarized ablation).  Carried here so both schedulers key the
-    #: persistent result cache on the mode and so the parallel engine
-    #: rebuilds workers in the same mode.
+    #: summarized ablation).  Keys the persistent result cache (see
+    #: :meth:`config_options`) and tells the pool to materialize the
+    #: summary table parent-side.
     summaries: bool = False
     #: True when SAINTDroid runs delta analysis against the corpus-wide
-    #: class-artifact store (``--dedup``).  Same carrying rationale.
+    #: class-artifact store (``--dedup``).  Keys the result cache, and
+    #: a run's finish flushes that store.
     dedup: bool = False
+    #: Where SAINTDroid persists its summary table and class-artifact
+    #: store; ``None`` keeps both in memory.
+    cache_dir: str | None = None
 
     @staticmethod
     def default(
@@ -123,9 +129,8 @@ class ToolSet:
         *,
         include: tuple[str, ...] = DEFAULT_TOOLS,
         summaries: bool = False,
-        summaries_dir: str | None = None,
         dedup: bool = False,
-        dedup_dir: str | None = None,
+        cache_dir: str | None = None,
     ) -> "ToolSet":
         framework = framework or FrameworkRepository()
         apidb = apidb or build_api_database(framework)
@@ -134,9 +139,8 @@ class ToolSet:
                 framework,
                 apidb,
                 framework_summaries=summaries,
-                summaries_dir=summaries_dir,
                 dedup=dedup,
-                dedup_dir=dedup_dir,
+                cache_dir=cache_dir,
             ),
             # The ablations deliberately ignore --summaries/--dedup:
             # each ablates exactly one knob against the plain lazy
@@ -166,15 +170,28 @@ class ToolSet:
             tools=tools,
             summaries=summaries,
             dedup=dedup,
+            cache_dir=cache_dir,
         )
 
     @property
     def tool_names(self) -> tuple[str, ...]:
         return tuple(tool.name for tool in self.tools)
 
+    def config_options(self) -> dict:
+        """Findings-relevant configuration beyond the tool names
+        (e.g. ``{"summaries": True}``).  Keys the persistent result
+        cache together with :attr:`tool_names`; empty for the default
+        configuration so existing caches remain valid."""
+        options: dict = {}
+        if self.summaries:
+            options["summaries"] = True
+        if self.dedup:
+            options["dedup"] = True
+        return options
+
     def cache_stats(self) -> dict:
         """Framework + database cache accounting for this tool set."""
-        from ..cache.classes import registered_stores
+        from ..cache.classes import ClassStoreStats, registered_stores
 
         stats = {
             "framework": self.framework.cache_stats.as_dict(),
@@ -182,23 +199,23 @@ class ToolSet:
         }
         stores = registered_stores()
         if stores:
-            classes: dict[str, int | float] = {}
-            for store in stores:
-                for key, value in store.stats.as_dict().items():
-                    if not key.endswith("_rate"):
-                        classes[key] = classes.get(key, 0) + value
-            hits = classes.get("hits", 0)
-            misses = classes.get("misses", 0)
-            classes["hit_rate"] = hits / (hits + misses) if hits + misses else 0.0
-            guard_hits = classes.get("guard_hits", 0)
-            guard_misses = classes.get("guard_misses", 0)
-            classes["guard_hit_rate"] = (
-                guard_hits / (guard_hits + guard_misses)
-                if guard_hits + guard_misses
-                else 0.0
+            stats["classes"] = summed_stats(
+                ClassStoreStats, (store.stats.as_dict() for store in stores)
             )
-            stats["classes"] = classes
         return stats
+
+
+def summed_stats(stats_type, sections: Iterable[dict]) -> dict:
+    """Sum counter sections shaped like ``stats_type().as_dict()``
+    and re-derive their rates: the one place a merged cache section's
+    ``hit_rate``-style fields are computed, for a tool set's class
+    stores and for the pool's per-worker snapshots alike."""
+    total = stats_type()
+    for section in sections:
+        for key, value in section.items():
+            if not key.endswith("_rate"):  # derived, not summed
+                setattr(total, key, getattr(total, key) + value)
+    return total.as_dict()
 
 
 @dataclass
@@ -590,9 +607,9 @@ def run_tools(
     """Analyze every app with every tool.
 
     ``jobs > 1`` fans the corpus out over a pool of ``jobs`` worker
-    processes that all analyze over ``toolset``'s framework repository
-    and API database (see :mod:`repro.eval.parallel`); results come
-    back in corpus order regardless of completion order.
+    processes that all analyze with ``toolset`` itself (see
+    :mod:`repro.eval.parallel`); results come back in corpus order
+    regardless of completion order.
 
     ``max_retries`` re-attempts retryable failures (timeout,
     worker-lost, resource) before quarantining the app;
@@ -622,17 +639,12 @@ def run_tools(
         from .parallel import PoolBackend
 
         backend = PoolBackend(
-            toolset.framework,
-            toolset.apidb,
+            toolset,
             workers=jobs,
-            include=toolset.tool_names,
             timeout_s=timeout_s,
             # A batch run kills no worker from the parent: each app's
             # deadline is timeout_s, enforced inside its worker.
             hang_timeout_s=None,
-            summaries=toolset.summaries,
-            cache_dir=str(cache_dir) if cache_dir is not None else None,
-            dedup=toolset.dedup,
             fault_plan=fault_plan,
         )
     else:

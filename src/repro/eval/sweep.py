@@ -21,7 +21,7 @@ from ..core.arm import mine_spec
 from ..core.detector import SaintDroid
 from ..framework.catalog import build_spec
 from ..framework.repository import FrameworkRepository
-from ..workload.appgen import ApiPicker, AppForge
+from ..workload.appgen import AppForge
 
 __all__ = ["SweepPoint", "sweep_framework_scale"]
 
@@ -47,14 +47,14 @@ class SweepPoint:
         return self.cid_seconds / self.saintdroid_seconds
 
 
-def _probe_app(apidb, picker, seed: int):
+def _probe_app(apidb, seed: int):
     """A fixed-size probe app; its seeded content is identical in
     spirit across sweep points (API identities necessarily differ
     because the framework itself differs)."""
     forge = AppForge(
         "com.sweep.probe", "SweepProbe",
         min_sdk=19, target_sdk=26, seed=seed,
-        apidb=apidb, picker=picker,
+        apidb=apidb,
     )
     forge.add_direct_issue()
     forge.add_guarded_direct()
@@ -83,19 +83,18 @@ def _sweep_point(
     else:
         framework = FrameworkRepository(spec)
         apidb = mine_spec(spec)
-    picker = ApiPicker.of(apidb)
     saintdroid = SaintDroid(
         framework,
         apidb,
         framework_summaries=summaries,
-        summaries_dir=cache_dir,
+        cache_dir=cache_dir,
     )
     cid = Cid(framework, apidb)
 
     saint_seconds = saint_memory = saint_loaded = 0.0
     cid_seconds = cid_memory = 0.0
     for probe_index in range(probes_per_point):
-        apk = _probe_app(apidb, picker, seed=seed + probe_index)
+        apk = _probe_app(apidb, seed=seed + probe_index)
         saint_report = saintdroid.analyze(apk)
         cid_report = cid.analyze(apk)
         saint_seconds += saint_report.metrics.modeled_seconds

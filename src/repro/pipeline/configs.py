@@ -110,9 +110,8 @@ def saintdroid_pipeline(
     propagate_guards_into_anonymous: bool = False,
     analyze_secondary_dex: bool = True,
     framework_summaries: bool = False,
-    summaries_dir: str | None = None,
     dedup: bool = False,
-    dedup_dir: str | None = None,
+    cache_dir: str | None = None,
 ) -> PipelineConfig:
     """SAINTDroid as a pass configuration.
 
@@ -122,11 +121,11 @@ def saintdroid_pipeline(
     argument of ``guard-propagation``, and ``framework_summaries``
     inserts the whole-framework pre-analysis pass so the CLVM stops at
     the framework boundary with a table lookup (same findings as lazy,
-    enforced by the parity test; ``summaries_dir`` persists the table
-    on disk).  ``dedup`` brackets the run with the corpus-wide
-    class-artifact store passes — delta analysis at the class boundary
-    (same findings as lazy, enforced by the parity suite;
-    ``dedup_dir`` persists artifacts across processes).  Dedup mode
+    enforced by the parity test).  ``dedup`` brackets the run with the
+    corpus-wide class-artifact store passes — delta analysis at the
+    class boundary (same findings as lazy, enforced by the parity
+    suite).  ``cache_dir`` persists the table and the artifacts
+    across processes.  Dedup mode
     implies the pre-summary pass: delta analysis re-answers the app's
     own classes from the artifact store, and the framework half of the
     walk is exactly what the summary table already answers — both
@@ -137,9 +136,9 @@ def saintdroid_pipeline(
         ManifestIngestPass(),
     ]
     if dedup:
-        passes.append(ClassDedupPass(store_dir=dedup_dir))
+        passes.append(ClassDedupPass(store_dir=cache_dir))
     if use_summaries:
-        passes.append(FrameworkSummariesPass(store_dir=summaries_dir))
+        passes.append(FrameworkSummariesPass(store_dir=cache_dir))
     passes += [
         ClvmLoadPass(
             include_secondary_dex=analyze_secondary_dex,

@@ -205,23 +205,9 @@ class ClassDedupPass(Pass):
         self._store_dir = store_dir
 
     def run(self, ctx: AnalysisContext) -> None:
-        from ..cache.classes import CLASS_ARTIFACT_VERSION, class_store
-        from ..cache.fingerprint import (
-            fingerprint_config,
-            fingerprint_spec,
-        )
+        from ..cache.classes import dedup_store
 
-        # The config digest pins only what artifacts depend on — the
-        # artifact semantics version.  Detector knobs (ablations,
-        # summaries) deliberately do not partition the store: artifacts
-        # hold static per-class facts valid under every configuration.
-        store = class_store(
-            self._store_dir,
-            framework_fingerprint=fingerprint_spec(ctx.framework.spec),
-            config_fingerprint=fingerprint_config(
-                ("SAINTDroid",), {"classes": CLASS_ARTIFACT_VERSION}
-            ),
-        )
+        store = dedup_store(self._store_dir, ctx.framework.spec)
         store.begin_app()
         ctx.provide("class_store", store)
 

@@ -6,7 +6,9 @@ serve`` — tests and benchmarks drive it in-process, the HTTP layer
 (:mod:`repro.serve.server`) is a thin adapter over it.  Lifecycle:
 
 ``start()``
-    loads (or adopts) the substrate once, replays the write-ahead
+    loads (or adopts) the substrate once, builds over it the one
+    :class:`~repro.eval.runner.ToolSet` that every worker runs and
+    that keys the result cache, replays the write-ahead
     journal — terminal results are adopted verbatim, acknowledged but
     unfinished jobs are re-enqueued with their original ids — opens
     the persistent result cache for cross-restart dedup, spawns the
@@ -38,7 +40,7 @@ from ..cache.fingerprint import fingerprint_config, fingerprint_spec
 from ..eval.faults import FaultKind
 from ..eval.orchestration import run_stream
 from ..eval.parallel import PoolBackend
-from ..eval.runner import DEFAULT_TOOLS
+from ..eval.runner import DEFAULT_TOOLS, ToolSet
 from ..framework.spec import FrameworkSpec
 from ..workload.appgen import ForgedApp
 from ..workload.groundtruth import GroundTruth
@@ -59,7 +61,7 @@ class ServeConfig:
 
     #: Supervised worker processes.
     workers: int = 2
-    #: Tool names each worker instantiates.
+    #: Tool names of the daemon's tool set.
     include: tuple[str, ...] = DEFAULT_TOOLS
     #: Bound the CLVM with whole-framework pre-summaries.
     summaries: bool = False
@@ -127,6 +129,9 @@ class AnalysisService:
         self.config = config
         self.spec = spec
         self._substrate = substrate
+        #: Where :meth:`start` got the substrate (``/healthz`` reports
+        #: it): ``provided``, ``memory``, ``snapshot`` or ``built``.
+        self._substrate_source: str | None = None
         self.journal: ServeJournal | None = None
         self.queue: JobQueue | None = None
         self.pool: PoolBackend | None = None
@@ -141,10 +146,30 @@ class AnalysisService:
 
     def start(self) -> "AnalysisService":
         config = self.config
+        if self._substrate is not None:
+            framework, apidb = self._substrate
+            source = "provided"
+        else:
+            from ..cache.snapshot import load_or_build_substrate
+
+            framework, apidb, source = load_or_build_substrate(
+                config.cache_dir, self.spec
+            )
+        self._substrate_source = source
+        # The one description of this daemon's analyzer: every worker
+        # runs it, and it keys the result cache.
+        toolset = ToolSet.default(
+            framework,
+            apidb,
+            include=config.include,
+            summaries=config.summaries,
+            dedup=config.dedup,
+            cache_dir=config.cache_dir,
+        )
         if config.journal is not None:
             self.journal = ServeJournal(
                 config.journal,
-                tools=config.include,
+                tools=toolset.tool_names,
                 fsync=config.journal_fsync,
             )
         recovery = (
@@ -153,19 +178,12 @@ class AnalysisService:
         if config.cache_dir is not None:
             from ..cache.results import ResultCache
 
-            options: dict = {}
-            if config.summaries:
-                options["summaries"] = True
-            if config.dedup:
-                options["dedup"] = True
             self._result_cache = ResultCache(
                 config.cache_dir,
                 framework_fingerprint=fingerprint_spec(self.spec),
-                # ``or None`` keeps the default configuration's key
-                # byte-identical to the batch engine's (and to the
-                # pre-options era), so caches stay shared and warm.
+                # The batch engine's key: one cache serves both.
                 config_fingerprint=fingerprint_config(
-                    config.include, options or None
+                    toolset.tool_names, toolset.config_options() or None
                 ),
             )
         self.queue = JobQueue(
@@ -177,27 +195,12 @@ class AnalysisService:
             fault_plan=config.fault_plan,
             start_seq=(recovery.max_seq + 1) if recovery else 0,
         )
-        if self._substrate is not None:
-            framework, apidb = self._substrate
-            source = "provided"
-        else:
-            from ..cache.snapshot import load_or_build_substrate
-
-            framework, apidb, source = load_or_build_substrate(
-                config.cache_dir, self.spec
-            )
         self.pool = PoolBackend(
-            framework,
-            apidb,
+            toolset,
             workers=config.workers,
-            include=config.include,
             timeout_s=config.timeout_s,
             hang_timeout_s=config.hang_timeout_s,
-            summaries=config.summaries,
-            cache_dir=config.cache_dir,
-            dedup=config.dedup,
             fault_plan=config.fault_plan,
-            substrate_source=source,
         )
         self.pool.start()
         replayed = self._replay(recovery)
@@ -395,7 +398,10 @@ class AnalysisService:
             ),
             "queue": queue_stats,
             "pool": (
-                self.pool.liveness()
+                {
+                    **self.pool.liveness(),
+                    "substrate_source": self._substrate_source,
+                }
                 if self.pool is not None
                 else {}
             ),

@@ -399,7 +399,6 @@ class AppForge:
         buildable: bool = True,
         seed: int = 0,
         apidb: ApiDatabase | None = None,
-        picker: ApiPicker | None = None,
     ) -> None:
         self.package = package
         self.label = label
@@ -409,7 +408,7 @@ class AppForge:
         self.buildable = buildable
         self._rng = random.Random(seed)
         self._apidb = apidb or build_api_database()
-        self._picker = picker or ApiPicker.of(self._apidb)
+        self._picker = ApiPicker.of(self._apidb)
         self._classes: list[Clazz] = []
         self._secondary: list[Clazz] = []
         self._permissions: set[str] = set()

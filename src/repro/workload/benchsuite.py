@@ -33,7 +33,7 @@ from dataclasses import dataclass, field
 
 from ..core.apidb import ApiDatabase
 from ..core.arm import build_api_database
-from .appgen import ApiPicker, AppForge, ForgedApp
+from .appgen import AppForge, ForgedApp
 
 __all__ = ["BenchmarkSpec", "CIDER_BENCH", "CID_BENCH", "BENCHMARK_SPECS",
            "build_benchmark_app", "build_benchmark_suite"]
@@ -185,7 +185,6 @@ BENCHMARK_SPECS: tuple[BenchmarkSpec, ...] = CIDER_BENCH + CID_BENCH
 def build_benchmark_app(
     spec: BenchmarkSpec,
     apidb: ApiDatabase | None = None,
-    picker: ApiPicker | None = None,
     *,
     scale: float = 1.0,
 ) -> ForgedApp:
@@ -200,7 +199,6 @@ def build_benchmark_app(
         buildable=spec.buildable,
         seed=spec.seed,
         apidb=apidb,
-        picker=picker,
     )
     for _ in range(spec.direct):
         forge.add_direct_issue()
@@ -244,9 +242,8 @@ def build_benchmark_suite(
 ) -> list[ForgedApp]:
     """Materialize every benchmark replica (deterministic)."""
     apidb = apidb or build_api_database()
-    picker = ApiPicker.of(apidb)
     return [
-        build_benchmark_app(spec, apidb, picker, scale=scale)
+        build_benchmark_app(spec, apidb, scale=scale)
         for spec in BENCHMARK_SPECS
         if spec.suite in suites
     ]

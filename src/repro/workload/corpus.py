@@ -31,7 +31,7 @@ from typing import Iterator
 
 from ..core.apidb import ApiDatabase
 from ..core.arm import build_api_database
-from .appgen import ApiPicker, AppForge, ForgedApp
+from .appgen import AppForge, ForgedApp
 
 __all__ = ["CorpusConfig", "CorpusApp", "generate_corpus",
            "OverlapConfig", "generate_overlapping_corpus",
@@ -112,7 +112,6 @@ def generate_corpus(
     """Yield ``config.count`` calibrated apps, deterministically."""
     config = config or CorpusConfig()
     apidb = apidb or build_api_database()
-    picker = ApiPicker.of(apidb)
     rng = random.Random(config.seed)
 
     for index in range(config.count):
@@ -139,13 +138,12 @@ def generate_corpus(
             target_sdk=target,
             seed=config.seed * 1_000_003 + index,
             apidb=apidb,
-            picker=picker,
         )
         if outlier:
             # A game-engine style app: little own code, a very wide
             # framework vocabulary (drags many classes into analysis).
             forge._safe_pool = [
-                picker.safe_api(forge._rng) for _ in range(400)
+                forge.picker.safe_api(forge._rng) for _ in range(400)
             ]
 
         # -- API invocation issues -------------------------------------
@@ -280,7 +278,7 @@ class OverlapConfig:
 
 
 def _build_shared_library(
-    config: OverlapConfig, apidb: ApiDatabase, picker: ApiPicker
+    config: OverlapConfig, apidb: ApiDatabase
 ) -> tuple:
     """The bundled library: re-forged per member from a fixed seed, so
     every copy is content-identical but object-distinct."""
@@ -291,7 +289,6 @@ def _build_shared_library(
         target_sdk=config.target_sdk,
         seed=config.seed,
         apidb=apidb,
-        picker=picker,
     )
     for _ in range(config.library_guards):
         try:
@@ -322,10 +319,9 @@ def generate_overlapping_corpus(
     shape: each APK parses its bundled dex independently."""
     config = config or OverlapConfig()
     apidb = apidb or build_api_database()
-    picker = ApiPicker.of(apidb)
 
     for index in range(config.count):
-        library = _build_shared_library(config, apidb, picker)
+        library = _build_shared_library(config, apidb)
         forge = AppForge(
             f"app.overlap.a{index}",
             f"overlap-{index:03d}",
@@ -333,7 +329,6 @@ def generate_overlapping_corpus(
             target_sdk=config.target_sdk,
             seed=config.seed * 7_368_787 + index,
             apidb=apidb,
-            picker=picker,
         )
         for _ in range(config.app_issues):
             try:

@@ -82,7 +82,7 @@ class TestPropertyRoundTrip:
         direct=st.integers(0, 2),
         callbacks=st.integers(0, 2),
     )
-    def test_forged_apps_round_trip(self, apidb_session, picker_session,
+    def test_forged_apps_round_trip(self, apidb_session,
                                     seed, min_sdk, direct, callbacks):
         forge = AppForge(
             "com.prop.app",
@@ -91,7 +91,6 @@ class TestPropertyRoundTrip:
             target_sdk=26,
             seed=seed,
             apidb=apidb_session,
-            picker=picker_session,
         )
         for _ in range(direct):
             forge.add_direct_issue()
@@ -105,7 +104,3 @@ class TestPropertyRoundTrip:
     @pytest.fixture(scope="class")
     def apidb_session(self, apidb):
         return apidb
-
-    @pytest.fixture(scope="class")
-    def picker_session(self, picker):
-        return picker

@@ -69,14 +69,13 @@ class TestSpecFingerprintRotation:
 
 class TestStaleArtifacts:
     @pytest.fixture()
-    def corpus(self, apidb, picker):
+    def corpus(self, apidb):
         apps = []
         for index in range(2):
             forge = AppForge(
                 f"com.stale.app{index}",
                 f"Stale{index}",
                 apidb=apidb,
-                picker=picker,
                 min_sdk=19,
                 target_sdk=26,
                 seed=700 + index,
@@ -104,7 +103,7 @@ class TestStaleArtifacts:
                 corpus,
                 ToolSet.default(
                     framework, apidb, include=("SAINTDroid",),
-                    dedup=True, dedup_dir=store_dir,
+                    dedup=True, cache_dir=store_dir,
                 ),
             )
         assert (
@@ -123,7 +122,7 @@ class TestStaleArtifacts:
             corpus,
             ToolSet.default(
                 framework, apidb, include=("SAINTDroid",),
-                dedup=True, dedup_dir=store_dir,
+                dedup=True, cache_dir=store_dir,
             ),
         )
         assert (
@@ -154,7 +153,7 @@ class TestStaleArtifacts:
             corpus,
             ToolSet.default(
                 framework, apidb, include=("SAINTDroid",),
-                dedup=True, dedup_dir=store_dir,
+                dedup=True, cache_dir=store_dir,
             ),
         )
         assert (

@@ -1,6 +1,6 @@
 """Shared fixtures.
 
-Everything expensive (framework spec, API database, picker) is
+Everything expensive (framework spec, API database) is
 session-scoped: the default framework is immutable, so every test can
 share one instance.
 """
@@ -13,7 +13,6 @@ from repro.apk import Apk, Component, ComponentKind, DexFile, Manifest
 from repro.core import build_api_database
 from repro.framework import FrameworkRepository, default_spec
 from repro.ir import ClassBuilder
-from repro.workload.appgen import ApiPicker
 
 
 @pytest.fixture(scope="session")
@@ -29,11 +28,6 @@ def framework(spec):
 @pytest.fixture(scope="session")
 def apidb(framework):
     return build_api_database(framework)
-
-
-@pytest.fixture(scope="session")
-def picker(apidb):
-    return ApiPicker.of(apidb)
 
 
 def make_apk(

@@ -31,11 +31,11 @@ def detector(framework, apidb):
     return SaintDroid(framework, apidb)
 
 
-def forge(apidb, picker, **kwargs):
+def forge(apidb, **kwargs):
     defaults = dict(min_sdk=19, target_sdk=26, seed=41)
     defaults.update(kwargs)
     return AppForge(
-        "com.sem.app", "SemApp", apidb=apidb, picker=picker, **defaults
+        "com.sem.app", "SemApp", apidb=apidb, **defaults
     )
 
 
@@ -90,24 +90,24 @@ class TestMining:
 # ---------------------------------------------------------------------------
 
 class TestDetection:
-    def test_unguarded_delta_is_found(self, detector, apidb, picker):
-        f = forge(apidb, picker)
+    def test_unguarded_delta_is_found(self, detector, apidb):
+        f = forge(apidb)
         issue = f.add_semantic_issue()
         report = detector.analyze(f.build().apk)
         sem = _sem_findings(report)
         assert [m.key for m in sem] == [issue.key]
         assert sem[0].subject is not None
 
-    def test_guarded_delta_is_silent(self, detector, apidb, picker):
-        f = forge(apidb, picker)
+    def test_guarded_delta_is_silent(self, detector, apidb):
+        f = forge(apidb)
         f.add_guarded_semantic()
         report = detector.analyze(f.build().apk)
         assert _sem_findings(report) == []
 
-    def test_wrong_side_interval(self, detector, apidb, picker):
+    def test_wrong_side_interval(self, detector, apidb):
         """Every reported level must disagree with the target SDK
         about at least one delta — that is SEM's detection rule."""
-        f = forge(apidb, picker)
+        f = forge(apidb)
         issue = f.add_semantic_issue()
         forged = f.build()
         report = detector.analyze(forged.apk)
@@ -124,8 +124,8 @@ class TestDetection:
                 for d in deltas
             ), (bound, target, deltas)
 
-    def test_sem_report_counts_by_kind(self, detector, apidb, picker):
-        f = forge(apidb, picker)
+    def test_sem_report_counts_by_kind(self, detector, apidb):
+        f = forge(apidb)
         f.add_semantic_issue()
         report = detector.analyze(f.build().apk)
         assert report.by_kind().get("SEM", 0) == 1
@@ -136,8 +136,8 @@ class TestDetection:
 # ---------------------------------------------------------------------------
 
 class TestDynamicReplay:
-    def test_semantic_issue_confirmed(self, detector, apidb, picker):
-        f = forge(apidb, picker)
+    def test_semantic_issue_confirmed(self, detector, apidb):
+        f = forge(apidb)
         issue = f.add_semantic_issue()
         forged = f.build()
         report = detector.analyze(forged.apk)
@@ -158,8 +158,8 @@ class TestDynamicReplay:
 
 class TestCodecs:
     @pytest.fixture(scope="class")
-    def sem_app(self, apidb, picker):
-        f = forge(apidb, picker)
+    def sem_app(self, apidb):
+        f = forge(apidb)
         f.add_semantic_issue()
         f.add_guarded_semantic()
         return f.build()

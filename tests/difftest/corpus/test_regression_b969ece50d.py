@@ -36,9 +36,9 @@ PLAN = json.loads("""
 SIGNATURE = ('static-fp', 'PRM-request', 'android.permission.CAMERA')
 
 
-def test_no_regression_b969ece50d(framework, apidb, picker):
+def test_no_regression_b969ece50d(framework, apidb):
     plan = AppPlan.from_dict(PLAN)
-    forged = materialize(plan, apidb, picker)
+    forged = materialize(plan, apidb)
     tool = SaintDroid(framework, apidb)
     report = tool.analyze(forged.apk)
     records = DifferentialOracle(apidb).examine(forged, report)

@@ -36,9 +36,9 @@ PLAN = json.loads("""
 SIGNATURE = ('static-fp', 'API', 'java.nio.channels.Request1046.drawRequest()int')
 
 
-def test_no_regression_e94439979b(framework, apidb, picker):
+def test_no_regression_e94439979b(framework, apidb):
     plan = AppPlan.from_dict(PLAN)
-    forged = materialize(plan, apidb, picker)
+    forged = materialize(plan, apidb)
     tool = SaintDroid(framework, apidb)
     report = tool.analyze(forged.apk)
     records = DifferentialOracle(apidb).examine(forged, report)

@@ -47,11 +47,11 @@ def test_apply_mutant_changes_behavior_then_reverts():
     assert interval.refine(CmpOp.LT, 24) == original
 
 
-def test_survivors_are_listed_by_name(tool, apidb, picker):
+def test_survivors_are_listed_by_name(tool, apidb):
     noop = Mutant("noop-mutant", "changes nothing, must survive", list)
     plans = plan_apps(2026, 2, coverage=True)
     result = run_mutation_pass(
-        plans, tool, apidb, picker, catalog=(noop,)
+        plans, tool, apidb, catalog=(noop,)
     )
     assert result.killed == 0
     assert result.survivors == ("noop-mutant",)
@@ -62,9 +62,9 @@ def test_survivors_are_listed_by_name(tool, apidb, picker):
 
 
 @pytest.mark.slow
-def test_full_catalog_is_killed(tool, apidb, picker):
+def test_full_catalog_is_killed(tool, apidb):
     plans = plan_apps(2026, len(ALL_KINDS), coverage=True)
-    result = run_mutation_pass(plans, tool, apidb, picker)
+    result = run_mutation_pass(plans, tool, apidb)
     assert result.total == len(MUTANT_CATALOG)
     assert result.survivors == (), (
         f"surviving mutants: {result.survivors}"

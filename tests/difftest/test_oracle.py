@@ -13,12 +13,12 @@ from repro.difftest.strategy import ALL_KINDS, materialize, plan_apps
 
 
 @pytest.fixture(scope="module")
-def coverage(tool, oracle, apidb, picker):
+def coverage(tool, oracle, apidb):
     """kind -> (forged app, static report, oracle records)."""
     out = {}
     for plan in plan_apps(2026, len(ALL_KINDS), coverage=True):
         kind = plan.scenarios[0].kind
-        forged = materialize(plan, apidb, picker)
+        forged = materialize(plan, apidb)
         report = tool.analyze(forged.apk)
         out[kind] = (forged, report, oracle.examine(forged, report))
     return out

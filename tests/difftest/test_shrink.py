@@ -51,10 +51,10 @@ def fat_plan():
 
 
 def test_interval_mutant_shrinks_to_minimal_plan(
-    tool, oracle, apidb, picker, framework, fat_plan, tmp_path
+    tool, oracle, apidb, framework, fat_plan, tmp_path
 ):
     with apply_mutant(_mutant("refine-lt-off-by-one")):
-        forged = materialize(fat_plan, apidb, picker)
+        forged = materialize(fat_plan, apidb)
         records = oracle.examine(forged, tool.analyze(forged.apk))
         found = [
             r for r in records if r.classification in DISAGREEMENTS
@@ -62,7 +62,7 @@ def test_interval_mutant_shrinks_to_minimal_plan(
         assert found, "the seeded interval bug went unnoticed"
         signature = found[0].signature
         reproduces = build_reproducer(
-            tool, oracle, apidb, picker, signature
+            tool, oracle, apidb, signature
         )
         assert reproduces(fat_plan)
         shrunk, evaluations = shrink_plan(fat_plan, reproduces)
@@ -86,12 +86,12 @@ def test_interval_mutant_shrinks_to_minimal_plan(
         for name, value in namespace.items()
         if name.startswith("test_no_regression_")
     )
-    regression(framework, apidb, picker)
+    regression(framework, apidb)
 
 
-def test_apk_level_reduction(tool, oracle, apidb, picker, fat_plan):
+def test_apk_level_reduction(tool, oracle, apidb, fat_plan):
     with apply_mutant(_mutant("refine-lt-off-by-one")):
-        forged = materialize(fat_plan, apidb, picker)
+        forged = materialize(fat_plan, apidb)
         records = oracle.examine(forged, tool.analyze(forged.apk))
         signature = next(
             r.signature

@@ -64,19 +64,19 @@ def test_without_drops_exactly_one_scenario():
     assert reduced.scenarios == plan.scenarios[1:]
 
 
-def test_materialize_is_deterministic(apidb, picker):
+def test_materialize_is_deterministic(apidb):
     plans = plan_apps(42, 6)
-    first = [_fingerprint(materialize(p, apidb, picker)) for p in plans]
-    second = [_fingerprint(materialize(p, apidb, picker)) for p in plans]
+    first = [_fingerprint(materialize(p, apidb)) for p in plans]
+    second = [_fingerprint(materialize(p, apidb)) for p in plans]
     assert first == second
 
 
-def test_filler_only_adds_code(apidb, picker):
+def test_filler_only_adds_code(apidb):
     from dataclasses import replace
 
     plan = plan_apps(8, 1, coverage=True)[0]
-    lean = materialize(replace(plan, filler_kloc=0.0), apidb, picker)
-    fat = materialize(replace(plan, filler_kloc=1.0), apidb, picker)
+    lean = materialize(replace(plan, filler_kloc=0.0), apidb)
+    fat = materialize(replace(plan, filler_kloc=1.0), apidb)
     assert fat.apk.instruction_count > lean.apk.instruction_count
     assert json.dumps(lean.truth.to_dict(), sort_keys=True) == json.dumps(
         fat.truth.to_dict(), sort_keys=True

@@ -12,12 +12,12 @@ def detector(framework, apidb):
     return SaintDroid(framework, apidb)
 
 
-def forge(apidb, picker, **kwargs):
+def forge(apidb, **kwargs):
     defaults = dict(min_sdk=19, target_sdk=26, seed=13)
     defaults.update(kwargs)
     return AppForge(
         "com.verify.app", "VerifyApp",
-        apidb=apidb, picker=picker, **defaults,
+        apidb=apidb, **defaults,
     )
 
 
@@ -31,16 +31,16 @@ def verify_single(detector, apidb, forged, key):
 
 
 class TestVerdicts:
-    def test_direct_issue_confirmed(self, detector, apidb, picker):
-        f = forge(apidb, picker)
+    def test_direct_issue_confirmed(self, detector, apidb):
+        f = forge(apidb)
         issue = f.add_direct_issue()
         verified, _ = verify_single(detector, apidb, f.build(), issue.key)
         assert verified.verdict is Verdict.CONFIRMED
         assert verified.evidence is not None
         assert verified.evidence.api_level in issue.key[3] or True
 
-    def test_anonymous_trap_refuted(self, detector, apidb, picker):
-        f = forge(apidb, picker)
+    def test_anonymous_trap_refuted(self, detector, apidb):
+        f = forge(apidb)
         trap = f.add_anonymous_guard_trap()
         verified, _ = verify_single(
             detector, apidb, f.build(), trap.fp_keys[0]
@@ -48,27 +48,27 @@ class TestVerdicts:
         assert verified.verdict is Verdict.REFUTED
         assert verified.evidence is None
 
-    def test_permission_request_confirmed(self, detector, apidb, picker):
-        f = forge(apidb, picker)
+    def test_permission_request_confirmed(self, detector, apidb):
+        f = forge(apidb)
         issue = f.add_permission_request_issue()[0]
         verified, _ = verify_single(detector, apidb, f.build(), issue.key)
         assert verified.verdict is Verdict.CONFIRMED
         assert verified.evidence.permission == issue.key[2]
 
-    def test_revocation_confirmed(self, detector, apidb, picker):
-        f = forge(apidb, picker, target_sdk=22, min_sdk=16)
+    def test_revocation_confirmed(self, detector, apidb):
+        f = forge(apidb, target_sdk=22, min_sdk=16)
         issue = f.add_permission_revocation_issue()[0]
         verified, _ = verify_single(detector, apidb, f.build(), issue.key)
         assert verified.verdict is Verdict.CONFIRMED
 
-    def test_callback_is_static_only(self, detector, apidb, picker):
-        f = forge(apidb, picker)
+    def test_callback_is_static_only(self, detector, apidb):
+        f = forge(apidb)
         issue = f.add_callback_issue(modeled=False)
         verified, _ = verify_single(detector, apidb, f.build(), issue.key)
         assert verified.verdict is Verdict.STATIC_ONLY
 
     def test_multi_permission_call_confirms_every_permission(
-        self, detector, apidb, picker
+        self, detector, apidb
     ):
         """One call needing several dangerous permissions: each
         finding is probed with only its own permission withheld, so
@@ -76,7 +76,7 @@ class TestVerdicts:
         bug the difftest fuzzer found)."""
         issues = ()
         for seed in range(60):
-            f = forge(apidb, picker, seed=seed)
+            f = forge(apidb, seed=seed)
             issues = f.add_permission_request_issue(deep=True)
             if len(issues) >= 2:
                 break
@@ -95,8 +95,8 @@ class TestVerdicts:
             assert verified.verdict is Verdict.CONFIRMED, permission
             assert verified.evidence.permission == permission
 
-    def test_inherited_issue_confirmed(self, detector, apidb, picker):
-        f = forge(apidb, picker)
+    def test_inherited_issue_confirmed(self, detector, apidb):
+        f = forge(apidb)
         issue = f.add_inherited_issue()
         verified, _ = verify_single(detector, apidb, f.build(), issue.key)
         assert verified.verdict is Verdict.CONFIRMED
@@ -104,9 +104,9 @@ class TestVerdicts:
 
 class TestStaticPlusDynamicPrecision:
     def test_surviving_mismatches_drop_only_refuted(
-        self, detector, apidb, picker
+        self, detector, apidb
     ):
-        f = forge(apidb, picker)
+        f = forge(apidb)
         direct = f.add_direct_issue()
         trap = f.add_anonymous_guard_trap()
         callback = f.add_callback_issue(modeled=False)
@@ -121,11 +121,11 @@ class TestStaticPlusDynamicPrecision:
         assert trap.fp_keys[0] not in surviving   # FP eliminated
 
     def test_combined_pipeline_reaches_full_precision(
-        self, detector, apidb, picker
+        self, detector, apidb
     ):
         """Static + dynamic = zero false positives on the API kind
         (the paper's motivation for the dynamic complement)."""
-        f = forge(apidb, picker, seed=31)
+        f = forge(apidb, seed=31)
         truth_keys = set()
         for _ in range(2):
             truth_keys.add(f.add_direct_issue().key)
@@ -149,8 +149,8 @@ class TestStaticPlusDynamicPrecision:
 
 
 class TestHarness:
-    def test_entry_points_exclude_anonymous(self, apidb, picker):
-        f = forge(apidb, picker)
+    def test_entry_points_exclude_anonymous(self, apidb):
+        f = forge(apidb)
         f.add_anonymous_guard_trap()
         forged = f.build()
         verifier = DynamicVerifier(forged.apk, apidb)
@@ -160,8 +160,8 @@ class TestHarness:
             for entry in verifier.entry_points()
         )
 
-    def test_crash_cache_reused(self, detector, apidb, picker):
-        f = forge(apidb, picker)
+    def test_crash_cache_reused(self, detector, apidb):
+        f = forge(apidb)
         f.add_direct_issue()
         forged = f.build()
         verifier = DynamicVerifier(forged.apk, apidb)

@@ -21,9 +21,9 @@ from repro.workload.groundtruth import GroundTruth, Trait
 
 
 @pytest.fixture(scope="module")
-def coverage(apidb, picker):
+def coverage(apidb):
     plans = plan_apps(2026, len(ALL_KINDS), coverage=True)
-    return [materialize(plan, apidb, picker) for plan in plans]
+    return [materialize(plan, apidb) for plan in plans]
 
 
 @pytest.fixture(scope="module")

@@ -65,7 +65,7 @@ def dedup_run(framework, apidb, corpus, store_dir):
         corpus,
         ToolSet.default(
             framework, apidb, include=("SAINTDroid",),
-            dedup=True, dedup_dir=store_dir,
+            dedup=True, cache_dir=store_dir,
         ),
     )
 
@@ -129,7 +129,7 @@ class TestSchedulerParity:
             corpus,
             ToolSet.default(
                 framework, apidb, include=("SAINTDroid",),
-                dedup=True, dedup_dir=store_dir,
+                dedup=True, cache_dir=store_dir,
             ),
             jobs=2,
         )
@@ -197,7 +197,7 @@ class TestCorruptionResilience:
             corpus,
             ToolSet.default(
                 framework, apidb, include=("SAINTDroid",),
-                dedup=True, dedup_dir=store_dir,
+                dedup=True, cache_dir=store_dir,
             ),
         )
         assert (
@@ -234,7 +234,7 @@ class TestChaosDiscipline:
             apps,
             ToolSet.default(
                 framework, apidb, include=("SAINTDroid",),
-                dedup=True, dedup_dir=str(tmp_path / "chaos-store"),
+                dedup=True, cache_dir=str(tmp_path / "chaos-store"),
             ),
             fault_plan=plan,
         )

@@ -16,20 +16,20 @@ from repro.workload.appgen import AppForge
 
 
 @pytest.fixture(scope="module")
-def small_run(framework, apidb, picker):
+def small_run(framework, apidb):
     toolset = ToolSet.default(
         framework, apidb, include=("SAINTDroid", "CID")
     )
     forge = AppForge(
         "com.export.app", "ExportApp", min_sdk=19, target_sdk=26,
-        seed=3, apidb=apidb, picker=picker,
+        seed=3, apidb=apidb,
     )
     forge.add_direct_issue()
     forge.add_filler(kloc=0.2)
     # second app: crashes CID (multidex)
     forge2 = AppForge(
         "com.export.two", "ExportTwo", min_sdk=19, target_sdk=26,
-        seed=4, apidb=apidb, picker=picker,
+        seed=4, apidb=apidb,
     )
     forge2.add_secondary_dex_issue()
     return run_tools([forge.build(), forge2.build()], toolset)

@@ -73,6 +73,19 @@ class _SleepyTool:
         raise AssertionError("deadline did not fire")
 
 
+class _CallerBuiltTool:
+    """A tool the ``ToolSet.default`` catalog has no name for: the
+    default SAINTDroid, wrapped."""
+
+    name = "Custom"
+
+    def __init__(self, inner) -> None:
+        self._inner = inner
+
+    def analyze(self, apk):
+        return self._inner.analyze(apk)
+
+
 class TestEquivalence:
     def test_parallel_matches_serial(
         self, framework, apidb, small_corpus
@@ -114,6 +127,20 @@ class TestEquivalence:
         warmed = {level for level, _name in framework.export_class_cache()}
         assert warmed == levels
         serial = run_tools(small_corpus, saintdroid)
+        assert pooled.findings_fingerprint() == serial.findings_fingerprint()
+
+    def test_pool_runs_the_callers_tool_set(
+        self, framework, apidb, saintdroid, small_corpus
+    ):
+        """Workers analyze with the caller's tools themselves, so a
+        tool built outside the catalog runs in the pool as it does in
+        the serial loop."""
+        toolset = ToolSet(
+            framework, apidb, tools=[_CallerBuiltTool(saintdroid.tools[0])]
+        )
+        serial = run_tools(small_corpus, toolset)
+        pooled = run_tools(small_corpus, toolset, jobs=2)
+        assert all(result.ok for result in pooled.results)
         assert pooled.findings_fingerprint() == serial.findings_fingerprint()
 
     def test_empty_corpus(self, saintdroid):
@@ -236,7 +263,7 @@ class TestAppShipping:
         assert task_spy[-1]["backend"]._apps == {}
 
     def test_respawned_slot_is_sent_indices_only(
-        self, framework, apidb, saintdroid, small_corpus, task_spy
+        self, saintdroid, small_corpus, task_spy
     ):
         """A slot respawned after a worker death is given the same app
         map as the first worker, so it too gets indices only."""
@@ -245,12 +272,7 @@ class TestAppShipping:
             faults={0: InjectedFault(FaultKind.WORKER_DEATH, 1)}
         )
         backend = parallel.PoolBackend(
-            framework,
-            apidb,
-            workers=1,
-            include=("SAINTDroid",),
-            hang_timeout_s=None,
-            fault_plan=plan,
+            saintdroid, workers=1, hang_timeout_s=None, fault_plan=plan
         )
         out = run_corpus(apps, backend, max_retries=1, fault_plan=plan)
         serial = run_tools(apps, saintdroid)
@@ -263,7 +285,7 @@ class TestAppShipping:
         assert backend._apps == {}
 
     def test_app_map_cleared_when_a_round_raises(
-        self, framework, apidb, small_corpus, monkeypatch
+        self, saintdroid, small_corpus, monkeypatch
     ):
         maps: list[dict] = []
 
@@ -273,11 +295,7 @@ class TestAppShipping:
 
         monkeypatch.setattr(parallel.PoolBackend, "_task", _raising)
         backend = parallel.PoolBackend(
-            framework,
-            apidb,
-            workers=2,
-            include=("SAINTDroid",),
-            hang_timeout_s=None,
+            saintdroid, workers=2, hang_timeout_s=None
         )
         with pytest.raises(RuntimeError, match="dispatch failed"):
             run_corpus(small_corpus, backend)

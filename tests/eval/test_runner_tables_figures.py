@@ -31,11 +31,11 @@ def toolset(framework, apidb):
 
 
 @pytest.fixture(scope="module")
-def mini_run(toolset, apidb, picker):
+def mini_run(toolset, apidb):
     apps = []
     forge_a = AppForge(
         "com.mini.alpha", "Alpha", min_sdk=19, target_sdk=26,
-        seed=1, apidb=apidb, picker=picker,
+        seed=1, apidb=apidb,
     )
     forge_a.add_direct_issue()
     forge_a.add_callback_issue(modeled=False)
@@ -45,7 +45,7 @@ def mini_run(toolset, apidb, picker):
 
     forge_b = AppForge(
         "com.mini.beta", "Beta", min_sdk=15, target_sdk=22,
-        seed=2, apidb=apidb, picker=picker,
+        seed=2, apidb=apidb,
     )
     forge_b.add_permission_revocation_issue()
     forge_b.add_filler(kloc=0.2)

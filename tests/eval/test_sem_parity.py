@@ -19,7 +19,7 @@ from repro.workload.appgen import AppForge
 
 
 @pytest.fixture(scope="module")
-def corpus(apidb, picker):
+def corpus(apidb):
     """Four apps, every one carrying at least one SEM scenario; the
     shared picker seeds overlap so the dedup arm sees repeat classes."""
     apps = []
@@ -28,7 +28,6 @@ def corpus(apidb, picker):
             f"com.semparity.app{index}",
             f"SemParity{index}",
             apidb=apidb,
-            picker=picker,
             min_sdk=19,
             target_sdk=26,
             seed=900 + index,
@@ -85,7 +84,7 @@ def test_dedup_matches_lazy(
         corpus,
         ToolSet.default(
             framework, apidb, include=("SAINTDroid",),
-            dedup=True, dedup_dir=store_dir,
+            dedup=True, cache_dir=store_dir,
         ),
     )
     assert (
@@ -100,7 +99,7 @@ def test_dedup_matches_lazy(
         corpus,
         ToolSet.default(
             framework, apidb, include=("SAINTDroid",),
-            dedup=True, dedup_dir=store_dir,
+            dedup=True, cache_dir=store_dir,
         ),
         jobs=2,
     )

@@ -85,14 +85,14 @@ class TestDetectorInvariants:
         scenarios=scenario_lists,
     )
     def test_detects_all_detectable_and_only_expected_extras(
-        self, detector, apidb, picker, seed, min_sdk, target_delta,
+        self, detector, apidb, seed, min_sdk, target_delta,
         scenarios,
     ):
         target = min(29, min_sdk + target_delta + 1)
         forge = AppForge(
             "com.prop.hunt", "PropHunt",
             min_sdk=min_sdk, target_sdk=target,
-            seed=seed, apidb=apidb, picker=picker,
+            seed=seed, apidb=apidb,
         )
         for scenario in scenarios:
             apply_scenario(forge, scenario)
@@ -119,11 +119,11 @@ class TestDetectorInvariants:
         suppress_health_check=[HealthCheck.too_slow],
     )
     @given(seed=st.integers(0, 2**20), kloc=st.floats(0.1, 1.5))
-    def test_clean_apps_are_clean(self, detector, apidb, picker, seed, kloc):
+    def test_clean_apps_are_clean(self, detector, apidb, seed, kloc):
         forge = AppForge(
             "com.prop.clean", "PropClean",
             min_sdk=16, target_sdk=26,
-            seed=seed, apidb=apidb, picker=picker,
+            seed=seed, apidb=apidb,
         )
         forge.add_filler(kloc=kloc)
         forge.add_guarded_direct()
@@ -136,11 +136,11 @@ class TestDetectorInvariants:
         suppress_health_check=[HealthCheck.too_slow],
     )
     @given(seed=st.integers(0, 2**20))
-    def test_analysis_is_deterministic(self, detector, apidb, picker, seed):
+    def test_analysis_is_deterministic(self, detector, apidb, seed):
         forge = AppForge(
             "com.prop.det", "PropDet",
             min_sdk=18, target_sdk=27,
-            seed=seed, apidb=apidb, picker=picker,
+            seed=seed, apidb=apidb,
         )
         forge.add_direct_issue()
         forge.add_callback_issue(modeled=False)

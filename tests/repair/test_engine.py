@@ -23,43 +23,43 @@ def engine(apidb):
     return RepairEngine(apidb)
 
 
-def forge(apidb, picker, **kwargs):
+def forge(apidb, **kwargs):
     defaults = dict(min_sdk=19, target_sdk=26, seed=21)
     defaults.update(kwargs)
     return AppForge(
         "com.repair.app", "RepairApp",
-        apidb=apidb, picker=picker, **defaults,
+        apidb=apidb, **defaults,
     )
 
 
 class TestApiRepair:
-    def test_direct_issue_guarded(self, detector, engine, apidb, picker):
-        f = forge(apidb, picker)
+    def test_direct_issue_guarded(self, detector, engine, apidb):
+        f = forge(apidb)
         f.add_direct_issue()
         result, residual = repair_and_verify(detector, f.build().apk)
         assert residual == []
         kinds = [a.kind for a in result.actions]
         assert kinds == [RepairActionKind.GUARD_INSERTED]
 
-    def test_inherited_issue_guarded(self, detector, engine, apidb, picker):
-        f = forge(apidb, picker)
+    def test_inherited_issue_guarded(self, detector, engine, apidb):
+        f = forge(apidb)
         f.add_inherited_issue()
         _, residual = repair_and_verify(detector, f.build().apk)
         assert residual == []
 
     def test_forward_removed_gets_max_guard(
-        self, detector, engine, apidb, picker
+        self, detector, engine, apidb
     ):
-        f = forge(apidb, picker, min_sdk=14, target_sdk=22)
+        f = forge(apidb, min_sdk=14, target_sdk=22)
         f.add_forward_removed_issue()
         result, residual = repair_and_verify(detector, f.build().apk)
         assert residual == []
         assert "SDK_INT <=" in result.actions[0].description
 
     def test_repaired_app_survives_dynamic_execution(
-        self, detector, engine, apidb, picker
+        self, detector, engine, apidb
     ):
-        f = forge(apidb, picker)
+        f = forge(apidb)
         f.add_direct_issue()
         apk = f.build().apk
         result, _ = repair_and_verify(detector, apk)
@@ -74,8 +74,8 @@ class TestApiRepair:
             crashes = verifier.observed_crashes(device)
             assert crashes == (), (level, crashes)
 
-    def test_external_code_gets_advisory(self, detector, apidb, picker):
-        f = forge(apidb, picker)
+    def test_external_code_gets_advisory(self, detector, apidb):
+        f = forge(apidb)
         f.add_external_dynamic_issue()
         apk = f.build().apk
         report = detector.analyze(apk)
@@ -102,8 +102,8 @@ class TestApiRepair:
 
 
 class TestCallbackRepair:
-    def test_callback_gets_advisory_only(self, detector, apidb, picker):
-        f = forge(apidb, picker)
+    def test_callback_gets_advisory_only(self, detector, apidb):
+        f = forge(apidb)
         issue = f.add_callback_issue(modeled=False)
         result, residual = repair_and_verify(detector, f.build().apk)
         assert [m.kind for m in residual] == [MismatchKind.API_CALLBACK]
@@ -114,9 +114,9 @@ class TestCallbackRepair:
 
 class TestPermissionRepair:
     def test_request_mismatch_repaired_by_protocol(
-        self, detector, apidb, picker
+        self, detector, apidb
     ):
-        f = forge(apidb, picker)
+        f = forge(apidb)
         f.add_permission_request_issue()
         result, residual = repair_and_verify(detector, f.build().apk)
         assert residual == []
@@ -129,9 +129,9 @@ class TestPermissionRepair:
         ) is not None
 
     def test_revocation_repaired_by_target_raise(
-        self, detector, apidb, picker
+        self, detector, apidb
     ):
-        f = forge(apidb, picker, min_sdk=16, target_sdk=22)
+        f = forge(apidb, min_sdk=16, target_sdk=22)
         f.add_permission_revocation_issue()
         result, residual = repair_and_verify(detector, f.build().apk)
         assert residual == []
@@ -141,8 +141,8 @@ class TestPermissionRepair:
             for a in result.actions
         )
 
-    def test_protocol_added_once(self, detector, apidb, picker):
-        f = forge(apidb, picker)
+    def test_protocol_added_once(self, detector, apidb):
+        f = forge(apidb)
         f.add_permission_request_issue()
         f.add_permission_request_issue()
         result, residual = repair_and_verify(detector, f.build().apk)
@@ -155,8 +155,8 @@ class TestPermissionRepair:
 
 
 class TestMixedRepair:
-    def test_full_pipeline(self, detector, apidb, picker):
-        f = forge(apidb, picker, seed=77)
+    def test_full_pipeline(self, detector, apidb):
+        f = forge(apidb, seed=77)
         f.add_direct_issue()
         f.add_inherited_issue()
         f.add_permission_request_issue()
@@ -167,16 +167,16 @@ class TestMixedRepair:
         assert [m.kind for m in residual] == [MismatchKind.API_CALLBACK]
         assert len(result.code_changes) == 3
 
-    def test_original_apk_untouched(self, detector, apidb, picker):
-        f = forge(apidb, picker)
+    def test_original_apk_untouched(self, detector, apidb):
+        f = forge(apidb)
         f.add_direct_issue()
         apk = f.build().apk
         before = apk.instruction_count
         repair_and_verify(detector, apk)
         assert apk.instruction_count == before
 
-    def test_clean_app_no_actions(self, detector, engine, apidb, picker):
-        f = forge(apidb, picker)
+    def test_clean_app_no_actions(self, detector, engine, apidb):
+        f = forge(apidb)
         f.add_filler(kloc=0.3)
         apk = f.build().apk
         result = engine.repair(apk, [])
@@ -185,8 +185,8 @@ class TestMixedRepair:
 
 
 class TestIdempotence:
-    def test_repairing_repaired_app_is_noop(self, detector, apidb, picker):
-        f = forge(apidb, picker, seed=99)
+    def test_repairing_repaired_app_is_noop(self, detector, apidb):
+        f = forge(apidb, seed=99)
         f.add_direct_issue()
         f.add_permission_request_issue()
         apk = f.build().apk

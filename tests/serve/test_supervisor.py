@@ -31,10 +31,8 @@ def _forged(tag: str) -> ForgedApp:
 @pytest.fixture()
 def pool(framework, apidb):
     sup = PoolBackend(
-        framework,
-        apidb,
+        ToolSet.default(framework, apidb, include=("SAINTDroid",)),
         workers=2,
-        include=("SAINTDroid",),
         timeout_s=10.0,
         hang_timeout_s=20.0,
     )
@@ -120,10 +118,8 @@ class TestHungWorker:
         self, framework, apidb
     ):
         sup = PoolBackend(
-            framework,
-            apidb,
+            ToolSet.default(framework, apidb, include=("SAINTDroid",)),
             workers=1,
-            include=("SAINTDroid",),
             timeout_s=None,  # no in-worker deadline: force the
             hang_timeout_s=0.5,  # parent-side backstop to fire
         )
@@ -166,10 +162,8 @@ class TestHungWorker:
         big = ForgedApp(apk=big_apk, truth=GroundTruth(app=big_apk.name))
         assert len(pickle.dumps(big)) > 1 << 20
         sup = PoolBackend(
-            framework,
-            apidb,
+            ToolSet.default(framework, apidb, include=("SAINTDroid",)),
             workers=1,
-            include=("SAINTDroid",),
             timeout_s=None,
             hang_timeout_s=0.5,
         )
@@ -201,7 +195,8 @@ class TestClose:
         self, framework, apidb
     ):
         sup = PoolBackend(
-            framework, apidb, workers=2, include=("SAINTDroid",)
+            ToolSet.default(framework, apidb, include=("SAINTDroid",)),
+            workers=2,
         )
         sup.start()
         pids = [p for p in sup.liveness()["pids"] if p]

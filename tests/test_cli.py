@@ -99,11 +99,11 @@ class TestCommands:
 
 class TestVerifyAndRepairCommands:
     @pytest.fixture()
-    def buggy_path(self, tmp_path, apidb, picker):
+    def buggy_path(self, tmp_path, apidb):
         from repro.workload.appgen import AppForge
         forge = AppForge(
             "com.cli.buggy", "CliBuggy", min_sdk=19, target_sdk=26,
-            seed=8, apidb=apidb, picker=picker,
+            seed=8, apidb=apidb,
         )
         forge.add_direct_issue()
         forge.add_anonymous_guard_trap()

@@ -19,6 +19,11 @@ def rng():
     return random.Random(1)
 
 
+@pytest.fixture()
+def picker(apidb):
+    return ApiPicker.of(apidb)
+
+
 class TestSafeApi:
     def test_full_lifetime_and_no_permissions(self, picker, apidb, rng):
         for _ in range(20):
