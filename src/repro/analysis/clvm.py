@@ -37,7 +37,8 @@ from .hierarchy import HierarchyResolver
 from .reaching import strings_at_invocations
 
 __all__ = ["LoadStats", "ExplorationResult", "ClassLoaderVM",
-           "LOADCLASS_SIGNATURES"]
+           "LOADCLASS_SIGNATURES", "method_effects", "prepared_effects",
+           "resolve_call"]
 
 #: Reflective load entry points whose string argument names a class.
 LOADCLASS_SIGNATURES = frozenset(
@@ -125,6 +126,82 @@ def _prepare_stream(raw: tuple[tuple, ...]) -> tuple[tuple, ...]:
         else:  # "loadclass"
             prepared.append(effect)
     return tuple(prepared)
+
+
+def method_effects(method: Method) -> tuple[tuple, ...]:
+    """Derive the ordered worklist-effect stream of one method.
+
+    Pure per method (no app or hierarchy state): constant-string
+    resolution at loadClass sites, allocations, and invocation sites
+    with their *static* callee refs.  This is exactly the per-class
+    computation the ``--dedup`` store caches.
+
+    Memoized on the method object: framework ``Method`` instances are
+    shared process-wide by the framework repository, so a corpus run
+    derives each framework body's stream once rather than once per app.
+    """
+    if method.body is None:
+        return ()
+    cached = method.__dict__.get("_effects")
+    if cached is not None:
+        return cached
+    effects: list[tuple] = []
+    # Dynamic-load resolution needs the reaching-strings analysis;
+    # only pay for it when the method contains a loadClass site.
+    has_dynamic_site = any(
+        (invoke.method.class_name, invoke.method.name)
+        in LOADCLASS_SIGNATURES
+        for invoke in method.invocations
+    )
+    if has_dynamic_site:
+        for invoke, resolved in strings_at_invocations(method):
+            key = (invoke.method.class_name, invoke.method.name)
+            if key in LOADCLASS_SIGNATURES:
+                names = resolved.get(0, frozenset())
+                effects.append(("loadclass", tuple(names)))
+    for instruction in method.body.instructions:
+        if isinstance(instruction, NewInstance):
+            effects.append(("new", instruction.class_name))
+        elif isinstance(instruction, Invoke):
+            callee = instruction.method
+            effects.append(
+                (
+                    "invoke",
+                    instruction.kind.value,
+                    (callee.class_name, callee.name, callee.descriptor),
+                )
+            )
+    stream = tuple(effects)
+    object.__setattr__(method, "_effects", stream)
+    return stream
+
+
+def prepared_effects(method: Method) -> tuple[tuple, ...]:
+    """The prepared (apply-ready) effect stream of one method,
+    memoized on the method object alongside the raw stream."""
+    cached = method.__dict__.get("_prepared_effects")
+    if cached is None:
+        cached = _prepare_stream(method_effects(method))
+        object.__setattr__(method, "_prepared_effects", cached)
+    return cached
+
+
+def resolve_call(
+    resolver: HierarchyResolver, kind: InvokeKind, callee: MethodRef
+) -> MethodRef | None:
+    """The method a ``kind`` call to ``callee`` runs: the callee itself
+    when its class declares it (static and direct calls), else the
+    nearest declaration up the hierarchy (virtual and interface calls);
+    ``None`` when nothing in ``resolver``'s world declares it."""
+    if kind in _STATIC_KINDS:
+        clazz = resolver.resolve(callee.class_name)
+        if clazz is not None and clazz.declares(callee.signature):
+            return callee
+        return None
+    declaring = resolver.dispatch(callee)
+    if declaring is None:
+        return None
+    return MethodRef(declaring.name, callee.name, callee.descriptor)
 
 
 #: Fraction of a framework class's code that stays resident after the
@@ -477,7 +554,7 @@ class ClassLoaderVM:
                     queued, unresolved_dynamic,
                 )
                 return
-            effects = self._prepared_method_effects(method)
+            effects = prepared_effects(method)
             self._apply_effects(
                 method.ref, effects, depth, callgraph, worklist, queued,
                 unresolved_dynamic,
@@ -487,68 +564,11 @@ class ClassLoaderVM:
             )
             return
         if effects is None:
-            effects = self._prepared_method_effects(method)
+            effects = prepared_effects(method)
         self._apply_effects(
             method.ref, effects, depth, callgraph, worklist, queued,
             unresolved_dynamic,
         )
-
-    def _prepared_method_effects(self, method: Method) -> tuple[tuple, ...]:
-        """The prepared (apply-ready) effect stream of one method,
-        memoized on the method object alongside the raw stream."""
-        cached = method.__dict__.get("_prepared_effects")
-        if cached is None:
-            cached = _prepare_stream(self._method_effects(method))
-            object.__setattr__(method, "_prepared_effects", cached)
-        return cached
-
-    def _method_effects(self, method: Method) -> tuple[tuple, ...]:
-        """Derive the ordered worklist-effect stream of one method.
-
-        Pure per method (no app or hierarchy state): constant-string
-        resolution at loadClass sites, allocations, and invocation
-        sites with their *static* callee refs.  This is exactly the
-        per-class computation the ``--dedup`` store caches.
-
-        Memoized on the method object: framework ``Method`` instances
-        are shared process-wide by the framework repository, so a
-        corpus run derives each framework body's stream once rather
-        than once per app.
-        """
-        if method.body is None:
-            return ()
-        cached = method.__dict__.get("_effects")
-        if cached is not None:
-            return cached
-        effects: list[tuple] = []
-        # Dynamic-load resolution needs the reaching-strings analysis;
-        # only pay for it when the method contains a loadClass site.
-        has_dynamic_site = any(
-            (invoke.method.class_name, invoke.method.name)
-            in LOADCLASS_SIGNATURES
-            for invoke in method.invocations
-        )
-        if has_dynamic_site:
-            for invoke, resolved in strings_at_invocations(method):
-                key = (invoke.method.class_name, invoke.method.name)
-                if key in LOADCLASS_SIGNATURES:
-                    names = resolved.get(0, frozenset())
-                    effects.append(("loadclass", tuple(names)))
-        for instruction in method.body.instructions:
-            if isinstance(instruction, NewInstance):
-                effects.append(("new", instruction.class_name))
-            elif isinstance(instruction, Invoke):
-                callee = instruction.method
-                effects.append(
-                    (
-                        "invoke",
-                        instruction.kind.value,
-                        (callee.class_name, callee.name, callee.descriptor),
-                    )
-                )
-        stream = tuple(effects)
-        object.__setattr__(method, "_effects", stream)
-        return stream
 
     def _apply_effects(
         self,
@@ -595,21 +615,12 @@ class ClassLoaderVM:
                 # static receiver type (how framework dispatchers reach
                 # app callbacks).
                 if virtual:
-                    for subtype in self._app_subtypes.get(
-                        callee.class_name, ()
-                    ):
-                        override = _intern_ref(
-                            subtype, callee.name, callee.descriptor
+                    subtypes = self._app_subtypes.get(callee.class_name)
+                    if subtypes:
+                        self._expand_overrides(
+                            caller, callee, subtypes, depth, callgraph,
+                            worklist, queued,
                         )
-                        subtype_class = self._apk.lookup(subtype)
-                        if (
-                            subtype_class is not None
-                            and subtype_class.declares(override.signature)
-                        ):
-                            bucket.append(
-                                _intern_site(caller, callee, override)
-                            )
-                            self._enqueue(override, depth, worklist, queued)
             elif kind == "new":
                 # Allocation loads the class; enqueue its constructor
                 # so its code participates in the exploration.
@@ -720,22 +731,12 @@ class ClassLoaderVM:
                     queued.add(target)
                     worklist.append((target, depth))
                 if virtual:
-                    callee = site.callee
-                    for subtype in self._app_subtypes.get(
-                        callee.class_name, ()
-                    ):
-                        override = _intern_ref(
-                            subtype, callee.name, callee.descriptor
+                    subtypes = self._app_subtypes.get(site.callee.class_name)
+                    if subtypes:
+                        self._expand_overrides(
+                            caller, site.callee, subtypes, depth,
+                            callgraph, worklist, queued,
                         )
-                        subtype_class = self._apk.lookup(subtype)
-                        if (
-                            subtype_class is not None
-                            and subtype_class.declares(override.signature)
-                        ):
-                            bucket.append(
-                                _intern_site(caller, callee, override)
-                            )
-                            self._enqueue(override, depth, worklist, queued)
             elif op == "loadclass":
                 names = entry[1]
                 if names:
@@ -792,7 +793,7 @@ class ClassLoaderVM:
         from .summaries import summarize_version_helper
 
         effects = tuple(
-            self._method_effects(method) for method in clazz.methods
+            method_effects(method) for method in clazz.methods
         )
         helpers: dict[tuple[str, str], frozenset[int]] = {}
         for method in clazz.methods:
@@ -862,8 +863,7 @@ class ClassLoaderVM:
                 else:
                     self.stats.dynamic_sites_unresolved += 1
             elif kind == "new":
-                init = MethodRef(target, "<init>", "()void")
-                self._enqueue(init, depth, worklist, queued)
+                self._enqueue(target, depth, worklist, queued)
             elif kind == "call":
                 if target.is_framework:
                     if (
@@ -875,29 +875,37 @@ class ClassLoaderVM:
                 else:
                     self._enqueue(target, depth, worklist, queued)
             else:  # dispatch into app overrides
-                for subtype in self._app_subtypes.get(
-                    target.class_name, ()
-                ):
-                    override = MethodRef(
-                        subtype, target.name, target.descriptor
+                subtypes = self._app_subtypes.get(target.class_name)
+                if subtypes:
+                    self._expand_overrides(
+                        container, target, subtypes, depth, callgraph,
+                        worklist, queued,
                     )
-                    subtype_class = self._apk.lookup(subtype)
-                    if (
-                        subtype_class is not None
-                        and subtype_class.declares(override.signature)
-                    ):
-                        callgraph.add_edge(
-                            CallSite(
-                                caller=container,
-                                callee=target,
-                                resolved=override,
-                            )
-                        )
-                        self._enqueue(override, depth, worklist, queued)
         return True
 
-    def _resolve_dispatch(self, instruction: Invoke) -> MethodRef | None:
-        return self._resolve_dispatch_ref(instruction.kind, instruction.method)
+    def _expand_overrides(
+        self,
+        caller: MethodRef,
+        callee: MethodRef,
+        subtypes: list[ClassName],
+        depth: int,
+        callgraph: CallGraph,
+        worklist: list[tuple[MethodRef, int]],
+        queued: set[MethodRef],
+    ) -> None:
+        """A virtual call to ``callee`` may dispatch into an app
+        override in any of its app ``subtypes`` (how framework
+        dispatchers reach app callbacks): add an edge to, and enqueue,
+        each app method that overrides it."""
+        for subtype in subtypes:
+            override = _intern_ref(subtype, callee.name, callee.descriptor)
+            subtype_class = self._apk.lookup(subtype)
+            if (
+                subtype_class is not None
+                and subtype_class.declares(override.signature)
+            ):
+                callgraph.add_edge(_intern_site(caller, callee, override))
+                self._enqueue(override, depth, worklist, queued)
 
     def _resolve_dispatch_ref(
         self, kind: InvokeKind, callee: MethodRef
@@ -911,20 +919,7 @@ class ClassLoaderVM:
             if walk is not None:
                 self._dispatch_memo[memo_key] = walk[0]
                 return walk[0]
-        if kind in _STATIC_KINDS:
-            clazz = self.resolver.resolve(callee.class_name)
-            resolved = (
-                callee
-                if clazz is not None and clazz.declares(callee.signature)
-                else None
-            )
-        else:
-            declaring = self.resolver.dispatch(callee)
-            resolved = (
-                None
-                if declaring is None
-                else MethodRef(declaring.name, callee.name, callee.descriptor)
-            )
+        resolved = resolve_call(self.resolver, kind, callee)
         self._dispatch_memo[memo_key] = resolved
         if walks is not None and memo_key not in walks:
             walks[memo_key] = (resolved, self._walk_names(kind, callee))

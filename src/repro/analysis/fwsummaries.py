@@ -3,27 +3,32 @@
 The lazy CLVM follows app→framework calls into framework method bodies
 (to ``DEFAULT_FRAMEWORK_DEPTH``) because that is where virtual
 dispatchers reach app callbacks and permission enforcement lives.  But
-framework code is immutable per (spec, level): everything exploration
-can learn from a framework class is a pure function of the framework,
-not of the app.  This module precomputes it once per framework —
-CID-style whole-framework pre-analysis, amortized over the corpus:
+framework code is immutable per (spec, level): what exploration learns
+from a framework class is a pure function of the framework, not of the
+app.  This module records it once per level — CID-style
+whole-framework pre-analysis, amortized over the corpus — as a thin
+layer over the CLVM's own machinery:
 
 * a :class:`ClassSummary` per framework class records the *worklist
   effects* of analyzing that class — allocations, resolved call
   targets, and virtual/interface dispatch sites — in the exact order
-  the lazy per-instruction analysis would produce them, so a
-  summarized exploration enqueues the same app methods in the same
-  order as a lazy one (findings parity, enforced by test);
-* a :class:`MethodSummary` per framework method records the
-  depth-bounded *reachable API interval* (the hull of API-level
-  lifetimes over the method's framework-internal call region) and the
-  *permission set* enforced within that region — the table artifact
-  the paper's pre-analysis framing calls for;
+  the lazy analysis produces them, so a summarized exploration
+  enqueues the same app methods in the same order as a lazy one
+  (findings parity, enforced by test);
+* the build reads the level through
+  :meth:`~repro.framework.repository.FrameworkRepository.load_image`,
+  derives each method's effects with the CLVM's
+  :func:`~repro.analysis.clvm.prepared_effects` (memoized on the
+  ``Method`` objects the repository shares with lazy analyses) and
+  resolves framework-internal calls with
+  :func:`~repro.analysis.clvm.resolve_call` over a framework-only
+  :class:`~repro.analysis.hierarchy.HierarchyResolver` — the level is
+  materialized once per process, whichever mode asks first;
 * tables are built lazily per API level, memoized in-process (and
   shared with pool workers over fork, like the API database), and
   persisted content-addressed on the framework spec digest under a
-  cache directory (``<cache>/summaries/``), checksummed like framework
-  snapshots: a corrupt file is a miss, never an error.
+  cache directory (``<cache>/summaries/``) as checksummed blobs: a
+  corrupt file is a miss, never an error.
 
 The consumer is :class:`~repro.analysis.clvm.ClassLoaderVM` in
 summarized mode (``summaries=``): a framework method popped from the
@@ -33,63 +38,37 @@ plus a per-instruction scan.
 
 from __future__ import annotations
 
-import hashlib
-import pickle
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 
 from ..core.apidb import ApiDatabase
-from ..framework.generator import materialize_image
 from ..framework.repository import FrameworkRepository
-from ..ir.clazz import Clazz
-from ..ir.instructions import Invoke, InvokeKind, NewInstance
-from ..ir.types import ClassName, MethodRef
-from .clvm import DEFAULT_FRAMEWORK_DEPTH, LOADCLASS_SIGNATURES
-from .intervals import ApiInterval
-from .reaching import strings_at_invocations
+from ..ir.types import ClassName
+from .clvm import DEFAULT_FRAMEWORK_DEPTH, prepared_effects, resolve_call
+from .hierarchy import HierarchyResolver
 
 __all__ = [
     "SUMMARY_SCHEMA_VERSION",
-    "MethodSummary",
     "ClassSummary",
     "SummaryTableStats",
     "FrameworkSummaryTable",
     "summary_table",
-    "register_table",
     "cached_table",
 ]
 
-SUMMARY_SCHEMA_VERSION = 1
-
-_CHECKSUM_BYTES = 32
-
-
-@dataclass(frozen=True)
-class MethodSummary:
-    """Pre-analysis record for one framework method.
-
-    ``interval`` is the hull of API-level lifetimes over every
-    framework method reachable from this one within the exploration's
-    framework-depth budget (the method itself included);
-    ``permissions`` is the union of permissions required anywhere in
-    that region.  Both answer "what could executing this API touch?"
-    without loading a single framework body at analysis time.
-    """
-
-    ref: MethodRef
-    interval: tuple[int, int]
-    permissions: frozenset[str]
-    instructions: int
+#: Version 2: effects only (no per-method interval/permission
+#: records), allocations carry their constructor ref.
+SUMMARY_SCHEMA_VERSION = 2
 
 
 @dataclass(frozen=True)
 class ClassSummary:
-    """Worklist effects + method table for one framework class.
+    """Worklist effects of one framework class.
 
     ``effects`` replays, in order, every enqueue the lazy CLVM would
     perform while analyzing this class: ``("loadclass", names, m)``
-    for statically-resolved dynamic loads, ``("new", class_name, m)``
+    for statically-resolved dynamic loads, ``("new", init_ref, m)``
     for allocations, ``("call", target, m)`` for resolved invocations,
     and ``("dispatch", callee, m)`` for virtual/interface sites that
     may dispatch into app overrides (``m`` is the containing method,
@@ -98,12 +77,7 @@ class ClassSummary:
 
     name: ClassName
     instruction_count: int
-    method_count: int
     effects: tuple[tuple, ...]
-    methods: dict[str, MethodSummary] = field(default_factory=dict)
-
-    def method(self, signature: str) -> MethodSummary | None:
-        return self.methods.get(signature)
 
 
 @dataclass
@@ -112,154 +86,7 @@ class SummaryTableStats:
 
     levels_built: int = 0
     levels_loaded: int = 0
-    lookups: int = 0
     build_seconds: float = 0.0
-
-    def as_dict(self) -> dict:
-        return {
-            "levels_built": self.levels_built,
-            "levels_loaded": self.levels_loaded,
-            "lookups": self.lookups,
-            "build_seconds": self.build_seconds,
-        }
-
-
-# -- image-local hierarchy walks -------------------------------------------
-#
-# Summary construction replays the lazy CLVM's dispatch resolution, but
-# against the full image dict instead of the lazy resolver (same
-# classes, same materialization) — no app is involved, so the walks are
-# a pure function of (spec, level).
-
-def _all_supertypes(
-    image: dict[ClassName, Clazz],
-    cache: dict[ClassName, tuple[Clazz, ...]],
-    name: ClassName,
-) -> tuple[Clazz, ...]:
-    """Mirror of ``HierarchyResolver.all_supertypes`` over the image:
-    breadth-first over supers + interfaces, absent names skipped."""
-    cached = cache.get(name)
-    if cached is not None:
-        return cached
-    out: list[Clazz] = []
-    seen: set[ClassName] = {name}
-    queue: list[ClassName] = []
-    first = image.get(name)
-    if first is not None:
-        queue.extend(first.supertypes)
-    while queue:
-        super_name = queue.pop(0)
-        if super_name in seen:
-            continue
-        seen.add(super_name)
-        clazz = image.get(super_name)
-        if clazz is None:
-            continue
-        out.append(clazz)
-        queue.extend(clazz.supertypes)
-    result = tuple(out)
-    cache[name] = result
-    return result
-
-
-def _resolve_dispatch(
-    image: dict[ClassName, Clazz],
-    supers_cache: dict[ClassName, tuple[Clazz, ...]],
-    instruction: Invoke,
-) -> MethodRef | None:
-    """Mirror of ``ClassLoaderVM._resolve_dispatch`` for call sites
-    inside framework bodies (whose callees are framework refs, so the
-    app never participates in the walk)."""
-    callee = instruction.method
-    clazz = image.get(callee.class_name)
-    if instruction.kind in (InvokeKind.STATIC, InvokeKind.DIRECT):
-        if clazz is not None and clazz.declares(callee.signature):
-            return callee
-        return None
-    if clazz is None:
-        return None
-    if clazz.declares(callee.signature):
-        declaring = clazz
-    else:
-        declaring = None
-        for ancestor in _all_supertypes(
-            image, supers_cache, callee.class_name
-        ):
-            if ancestor.declares(callee.signature):
-                declaring = ancestor
-                break
-        if declaring is None:
-            return None
-    return MethodRef(declaring.name, callee.name, callee.descriptor)
-
-
-# -- table construction ----------------------------------------------------
-
-def _class_effects(
-    clazz: Clazz,
-    image: dict[ClassName, Clazz],
-    supers_cache: dict[ClassName, tuple[Clazz, ...]],
-) -> tuple[tuple, ...]:
-    """The ordered worklist effects of analyzing ``clazz`` lazily."""
-    effects: list[tuple] = []
-    for method in clazz.methods:
-        if method.body is None:
-            continue
-        has_dynamic_site = any(
-            (invoke.method.class_name, invoke.method.name)
-            in LOADCLASS_SIGNATURES
-            for invoke in method.invocations
-        )
-        if has_dynamic_site:
-            for invoke, resolved in strings_at_invocations(method):
-                key = (invoke.method.class_name, invoke.method.name)
-                if key in LOADCLASS_SIGNATURES:
-                    effects.append(
-                        (
-                            "loadclass",
-                            frozenset(resolved.get(0, frozenset())),
-                            method.ref,
-                        )
-                    )
-        for instruction in method.body.instructions:
-            if isinstance(instruction, NewInstance):
-                effects.append(
-                    ("new", instruction.class_name, method.ref)
-                )
-            if not isinstance(instruction, Invoke):
-                continue
-            resolved = _resolve_dispatch(image, supers_cache, instruction)
-            target = resolved or instruction.method
-            effects.append(("call", target, method.ref))
-            if instruction.kind in (
-                InvokeKind.VIRTUAL, InvokeKind.INTERFACE
-            ):
-                effects.append(
-                    ("dispatch", instruction.method, method.ref)
-                )
-    return tuple(effects)
-
-
-def _method_region(
-    start: MethodRef,
-    direct: dict[MethodRef, tuple[MethodRef, ...]],
-    max_depth: int | None,
-) -> set[MethodRef]:
-    """Framework refs reachable from ``start`` within the depth
-    budget, ``start`` included (depth 0)."""
-    region: set[MethodRef] = {start}
-    frontier = [start]
-    depth = 0
-    while frontier and (max_depth is None or depth < max_depth):
-        depth += 1
-        next_frontier: list[MethodRef] = []
-        for ref in frontier:
-            for callee in direct.get(ref, ()):
-                if callee not in region:
-                    region.add(callee)
-                    next_frontier.append(callee)
-        frontier = next_frontier
-    return region
 
 
 class FrameworkSummaryTable:
@@ -280,8 +107,8 @@ class FrameworkSummaryTable:
         max_depth: int | None = DEFAULT_FRAMEWORK_DEPTH,
         store_dir: str | Path | None = None,
     ) -> None:
+        # ``apidb`` is unused: effects depend on the framework alone.
         self._framework = framework
-        self._apidb = apidb
         self._max_depth = max_depth
         self._store_dir = (
             Path(store_dir) if store_dir is not None else None
@@ -326,76 +153,33 @@ class FrameworkSummaryTable:
     def class_summary(
         self, name: ClassName, level: int
     ) -> ClassSummary | None:
-        self.stats.lookups += 1
         return self.level_summaries(level).get(name)
-
-    def method_summary(
-        self, ref: MethodRef, level: int
-    ) -> MethodSummary | None:
-        summary = self.level_summaries(level).get(ref.class_name)
-        if summary is None:
-            return None
-        return summary.method(ref.name + ref.descriptor)
 
     # -- construction -------------------------------------------------
 
     def _build(self, level: int) -> dict[ClassName, ClassSummary]:
         started = time.perf_counter()
-        spec = self._framework.spec
-        image = materialize_image(spec, level)
-        supers_cache: dict[ClassName, tuple[Clazz, ...]] = {}
-
-        # First pass: per-class effects + the framework-internal
-        # direct-call graph the method regions are computed over.
-        effects_by_class: dict[ClassName, tuple[tuple, ...]] = {}
-        direct: dict[MethodRef, tuple[MethodRef, ...]] = {}
-        for name, clazz in image.items():
-            effects = _class_effects(clazz, image, supers_cache)
-            effects_by_class[name] = effects
-            calls: dict[MethodRef, list[MethodRef]] = {}
-            for kind, target, container in effects:
-                if kind == "call" and target.is_framework:
-                    calls.setdefault(container, []).append(target)
-            for container, targets in calls.items():
-                direct[container] = tuple(targets)
-
-        # Second pass: per-method reachable interval + permission set.
+        image = self._framework.load_image(level)
+        resolver = HierarchyResolver(None, self._framework, level)
         table: dict[ClassName, ClassSummary] = {}
         for name, clazz in image.items():
-            methods: dict[str, MethodSummary] = {}
+            effects: list[tuple] = []
             for method in clazz.methods:
-                region = _method_region(
-                    method.ref, direct, self._max_depth
-                )
-                hull = ApiInterval.empty()
-                permissions: set[str] = set()
-                for ref in region:
-                    entry = self._apidb.resolve(
-                        ref.class_name, ref.name + ref.descriptor
-                    )
-                    if entry is not None:
-                        lo, hi = entry.lifetime
-                        hull = hull.join(ApiInterval.of(lo, hi))
-                    permissions.update(
-                        self._apidb.permissions_for(ref, deep=False)
-                    )
-                lo_hi = (
-                    (hull.lo, hull.hi) if not hull.is_empty else (0, 0)
-                )
-                methods[method.signature] = MethodSummary(
-                    ref=method.ref,
-                    interval=lo_hi,
-                    permissions=frozenset(permissions),
-                    instructions=(
-                        len(method.body) if method.body is not None else 0
-                    ),
-                )
+                caller = method.ref
+                for effect in prepared_effects(method):
+                    if effect[0] != "invoke":
+                        # ("new", init_ref) / ("loadclass", names)
+                        effects.append((effect[0], effect[1], caller))
+                        continue
+                    _, kind, callee, virtual = effect
+                    target = resolve_call(resolver, kind, callee) or callee
+                    effects.append(("call", target, caller))
+                    if virtual:
+                        effects.append(("dispatch", callee, caller))
             table[name] = ClassSummary(
                 name=name,
                 instruction_count=clazz.instruction_count,
-                method_count=len(clazz.methods),
-                effects=effects_by_class[name],
-                methods=methods,
+                effects=tuple(effects),
             )
         self.stats.levels_built += 1
         self.stats.build_seconds += time.perf_counter() - started
@@ -422,28 +206,22 @@ class FrameworkSummaryTable:
         path = self._path(level)
         if path is None or path.exists():
             return
-        from ..cache.manifest import atomic_write_bytes
+        from ..cache.manifest import shared_manifest, write_checksummed
 
-        payload = pickle.dumps(
+        size = write_checksummed(
+            path,
             {
                 "version": SUMMARY_SCHEMA_VERSION,
                 "level": level,
                 "max_depth": self._max_depth,
                 "classes": table,
             },
-            protocol=pickle.HIGHEST_PROTOCOL,
         )
-        blob = hashlib.sha256(payload).digest() + payload
-        atomic_write_bytes(path, blob)
         # Size the entry into the directory's shared manifest so the
         # summary store participates in the LRU byte budget alongside
         # result and class-artifact entries.
-        from ..cache.manifest import shared_manifest
-
         manifest = shared_manifest(self._store_dir)
-        manifest.record(
-            str(path.relative_to(self._store_dir)), len(blob)
-        )
+        manifest.record(str(path.relative_to(self._store_dir)), size)
         manifest.prune()
         manifest.save()
 
@@ -454,19 +232,9 @@ class FrameworkSummaryTable:
         path = self._path(level)
         if path is None:
             return None
-        try:
-            blob = path.read_bytes()
-        except OSError:
-            return None
-        if len(blob) <= _CHECKSUM_BYTES:
-            return None
-        digest, payload = blob[:_CHECKSUM_BYTES], blob[_CHECKSUM_BYTES:]
-        if hashlib.sha256(payload).digest() != digest:
-            return None
-        try:
-            doc = pickle.loads(payload)
-        except Exception:  # pragma: no cover — checksum gates this
-            return None
+        from ..cache.manifest import read_checksummed, shared_manifest
+
+        doc = read_checksummed(path)
         if (
             not isinstance(doc, dict)
             or doc.get("version") != SUMMARY_SCHEMA_VERSION
@@ -476,8 +244,6 @@ class FrameworkSummaryTable:
         ):
             return None
         self.stats.levels_loaded += 1
-        from ..cache.manifest import shared_manifest
-
         manifest = shared_manifest(self._store_dir)
         relative = str(path.relative_to(self._store_dir))
         if relative in manifest.entries:
@@ -486,7 +252,10 @@ class FrameworkSummaryTable:
             # A table written before manifest sizing existed (or by a
             # concurrent worker whose manifest save lost the race):
             # adopt it so eviction accounting stays complete.
-            manifest.record(relative, len(blob))
+            try:
+                manifest.record(relative, path.stat().st_size)
+            except OSError:
+                pass  # evicted since the read: nothing to account
         return doc["classes"]
 
 
@@ -515,12 +284,6 @@ def summary_table(
     elif store_dir is not None:
         table.set_store_dir(store_dir)
     return table
-
-
-def register_table(table: FrameworkSummaryTable) -> None:
-    """Adopt an externally built table into the registry (parent
-    prebuild before forking a pool)."""
-    _TABLES[(id(table.framework.spec), table.max_depth)] = table
 
 
 def cached_table(

@@ -18,22 +18,32 @@ from ..ir.types import ClassName, MethodRef
 __all__ = ["HierarchyResolver"]
 
 
+def _no_app_class(name: ClassName) -> None:
+    return None
+
+
 class HierarchyResolver:
     """Resolve classes and hierarchy walks for one (app, device level)."""
 
     def __init__(
         self,
-        apk: Apk,
+        apk: Apk | None,
         framework: FrameworkRepository,
         level: int,
         *,
         include_secondary_dex: bool = True,
         loaded_hook=None,
     ) -> None:
-        self._apk = apk
+        """``apk=None`` resolves against the framework alone — the
+        framework-internal world the summary table is built over."""
+        if apk is None:
+            self._app_lookup = _no_app_class
+        elif include_secondary_dex:
+            self._app_lookup = apk.lookup
+        else:
+            self._app_lookup = apk.lookup_primary
         self._framework = framework
         self._level = level
-        self._include_secondary = include_secondary_dex
         self._cache: dict[ClassName, Clazz | None] = {}
         # Ancestor walks are pure for a fixed (apk, framework, level)
         # and re-requested for every dispatch/override query on the
@@ -57,12 +67,8 @@ class HierarchyResolver:
         """Find ``name`` in the app dex files or the framework image."""
         if name in self._cache:
             return self._cache[name]
-        clazz: Clazz | None
         warm = False
-        if self._include_secondary:
-            clazz = self._apk.lookup(name)
-        else:
-            clazz = self._apk.lookup_primary(name)
+        clazz = self._app_lookup(name)
         if clazz is None:
             clazz, warm = self._framework.load_class_cached(
                 name, self._level

@@ -45,7 +45,6 @@ from __future__ import annotations
 
 import hashlib
 import os
-import pickle
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import TYPE_CHECKING
@@ -57,7 +56,7 @@ from .fingerprint import (
     fingerprint_config,
     fingerprint_spec,
 )
-from .manifest import atomic_write_bytes, shared_manifest
+from .manifest import read_checksummed, shared_manifest, write_checksummed
 
 if TYPE_CHECKING:  # pragma: no cover — import cycle guard
     from ..framework.spec import FrameworkSpec
@@ -79,8 +78,6 @@ __all__ = [
 #: (SEM) facts joined the analysis substrate — pre-SEM artifacts must
 #: degrade to misses, never resurface as findings.
 CLASS_ARTIFACT_VERSION = 2
-
-_CHECKSUM_BYTES = 32  # sha256 digest length
 
 
 @dataclass(eq=False)  # identity semantics: artifacts are cache
@@ -231,22 +228,16 @@ class ClassStore:
         if self.cache_dir is None:
             return None
         path = self._entry_path(key)
-        try:
-            blob = path.read_bytes()
-        except OSError:
-            return None
-        try:
-            if len(blob) <= _CHECKSUM_BYTES:
-                raise ValueError("truncated entry")
-            checksum, payload = blob[:_CHECKSUM_BYTES], blob[_CHECKSUM_BYTES:]
-            if hashlib.sha256(payload).digest() != checksum:
-                raise ValueError("checksum mismatch")
-            version, artifact = pickle.loads(payload)
-            if version != CLASS_ARTIFACT_VERSION:
-                raise ValueError("artifact version mismatch")
-            if not isinstance(artifact, ClassArtifact):
-                raise ValueError("unexpected payload type")
-        except Exception:
+        doc = read_checksummed(path)
+        if doc is None and not path.exists():
+            return None  # never stored: a plain miss
+        version, artifact = (
+            doc if isinstance(doc, tuple) and len(doc) == 2 else (None, None)
+        )
+        if (
+            version != CLASS_ARTIFACT_VERSION
+            or not isinstance(artifact, ClassArtifact)
+        ):
             self.stats.corrupt += 1
             path.unlink(missing_ok=True)
             if self._manifest is not None:
@@ -301,18 +292,13 @@ class ClassStore:
             self._manifest.save()
 
     def _write(self, key: str, artifact: ClassArtifact) -> None:
-        payload = pickle.dumps(
-            (CLASS_ARTIFACT_VERSION, artifact),
-            protocol=pickle.HIGHEST_PROTOCOL,
-        )
-        blob = hashlib.sha256(payload).digest() + payload
         path = self._entry_path(key)
         fresh = not path.exists()
-        atomic_write_bytes(path, blob)
+        size = write_checksummed(path, (CLASS_ARTIFACT_VERSION, artifact))
         if fresh:
             self.stats.stores += 1
         if self._manifest is not None:
-            self._manifest.record(self._relative(path), len(blob))
+            self._manifest.record(self._relative(path), size)
 
     # -- maintenance ---------------------------------------------------
 

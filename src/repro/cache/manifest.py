@@ -16,13 +16,19 @@ unreadable or truncated manifest is treated as empty and rebuilt by
 scanning the directory, because losing bookkeeping must never lose a
 run.  All writes go through :func:`atomic_write_bytes` (temp file +
 ``os.replace``), so a crash mid-write leaves either the old artifact
-or the new one, never a torn file.
+or the new one, never a torn file.  Pickled artifacts (framework
+snapshots, class artifacts, summary tables) share one encoding,
+:func:`write_checksummed` / :func:`read_checksummed`: a SHA-256 digest
+in front of the pickle, so a damaged file is detected before it is
+unpickled.
 """
 
 from __future__ import annotations
 
+import hashlib
 import json
 import os
+import pickle
 import time
 from pathlib import Path
 
@@ -31,6 +37,8 @@ from .fingerprint import CACHE_SCHEMA_VERSION
 __all__ = [
     "atomic_write_bytes",
     "atomic_write_text",
+    "read_checksummed",
+    "write_checksummed",
     "CacheManifest",
     "shared_manifest",
 ]
@@ -50,6 +58,37 @@ def atomic_write_bytes(path: Path, data: bytes) -> None:
 
 def atomic_write_text(path: Path, text: str) -> None:
     atomic_write_bytes(path, text.encode())
+
+
+_CHECKSUM_BYTES = 32  # sha256 digest length
+
+
+def write_checksummed(path: Path, obj) -> int:
+    """Atomically write ``obj`` as a pickle behind its SHA-256 digest;
+    returns the blob's size in bytes."""
+    payload = pickle.dumps(obj, protocol=pickle.HIGHEST_PROTOCOL)
+    blob = hashlib.sha256(payload).digest() + payload
+    atomic_write_bytes(path, blob)
+    return len(blob)
+
+
+def read_checksummed(path: Path):
+    """The object :func:`write_checksummed` stored at ``path``, or
+    ``None`` on any defect — missing, truncated, checksum mismatch,
+    unreadable pickle — so a damaged entry is a miss, never an error."""
+    try:
+        blob = path.read_bytes()
+    except OSError:
+        return None
+    digest, payload = blob[:_CHECKSUM_BYTES], blob[_CHECKSUM_BYTES:]
+    if not payload or hashlib.sha256(payload).digest() != digest:
+        return None
+    try:
+        return pickle.loads(payload)
+    except Exception:
+        # The checksum holds but the payload no longer unpickles (a
+        # class it names was renamed or removed since it was written).
+        return None
 
 
 class CacheManifest:

@@ -28,8 +28,6 @@ loaded spec is a dictionary hit rather than a re-mine.
 
 from __future__ import annotations
 
-import hashlib
-import pickle
 from pathlib import Path
 
 from ..core.apidb import ApiDatabase
@@ -38,7 +36,7 @@ from ..framework.generator import materialize_class
 from ..framework.repository import FrameworkRepository
 from ..framework.spec import FrameworkSpec
 from .fingerprint import fingerprint_spec
-from .manifest import atomic_write_bytes
+from .manifest import read_checksummed, write_checksummed
 
 __all__ = [
     "SNAPSHOT_VERSION",
@@ -48,8 +46,6 @@ __all__ = [
     "load_snapshot",
     "load_or_build_substrate",
 ]
-
-_CHECKSUM_BYTES = 32
 
 #: Format of the snapshot payload, in the file name and the payload.
 #: Version 2: method refs pickle without their memoized hash, which
@@ -71,7 +67,9 @@ def write_snapshot(
     apidb: ApiDatabase,
 ) -> Path:
     """Serialize the substrate under ``key``; returns the file path."""
-    payload = pickle.dumps(
+    path = snapshot_path(cache_dir, key)
+    write_checksummed(
+        path,
         {
             "version": SNAPSHOT_VERSION,
             "key": key,
@@ -82,11 +80,6 @@ def write_snapshot(
             "warm_classes": sorted(framework.export_class_cache()),
             "apidb": apidb,
         },
-        protocol=pickle.HIGHEST_PROTOCOL,
-    )
-    path = snapshot_path(cache_dir, key)
-    atomic_write_bytes(
-        path, hashlib.sha256(payload).digest() + payload
     )
     return path
 
@@ -113,20 +106,7 @@ def load_snapshot(
     """Load a snapshot; ``None`` on any defect (missing, truncated,
     checksum mismatch, version/key mismatch) — a miss, never an error.
     """
-    path = Path(path)
-    try:
-        blob = path.read_bytes()
-    except OSError:
-        return None
-    if len(blob) <= _CHECKSUM_BYTES:
-        return None
-    digest, payload = blob[:_CHECKSUM_BYTES], blob[_CHECKSUM_BYTES:]
-    if hashlib.sha256(payload).digest() != digest:
-        return None
-    try:
-        doc = pickle.loads(payload)
-    except Exception:  # pragma: no cover — checksum already gates this
-        return None
+    doc = read_checksummed(Path(path))
     if (
         not isinstance(doc, dict)
         or doc.get("version") != SNAPSHOT_VERSION

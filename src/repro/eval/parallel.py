@@ -294,8 +294,8 @@ class PoolBackend(CorpusBackend):
         if toolset.summaries:
             from ..analysis.fwsummaries import summary_table
 
-            # Materialize the table parent-side so forked workers
-            # inherit it as copy-on-write pages.
+            # Build the table parent-side, from the levels just warmed,
+            # so forked workers inherit it as copy-on-write pages.
             table = summary_table(
                 framework, toolset.apidb, store_dir=toolset.cache_dir
             )

@@ -54,64 +54,15 @@ class TestBuild:
         for name, clazz in image.items():
             summary = table.level_summaries(LEVEL)[name]
             assert summary.instruction_count == clazz.instruction_count
-            assert summary.method_count == len(clazz.methods)
 
-    def test_lookup_stats_count_class_queries(self, framework, table):
-        before = table.stats.lookups
-        name = framework.class_names(LEVEL)[0]
-        assert table.class_summary(name, LEVEL) is not None
-        assert table.class_summary("android.not.AClass", LEVEL) is None
-        assert table.stats.lookups == before + 2
-
-
-class TestMethodSummaries:
-    def test_interval_covers_the_method_itself(self, apidb, table):
-        """The reachable-interval hull must contain every summarized
-        method's own lifetime (it is depth-0 of its region)."""
-        checked = 0
-        for summary in table.level_summaries(LEVEL).values():
-            for method in summary.methods.values():
-                entry = apidb.resolve(
-                    method.ref.class_name,
-                    method.ref.name + method.ref.descriptor,
-                )
-                if entry is None:
-                    continue
-                lo, hi = entry.lifetime
-                assert method.interval[0] <= lo
-                assert method.interval[1] >= hi
-                checked += 1
-        assert checked > 0
-
-    def test_permissions_cover_direct_enforcement(self, apidb, table):
-        """Any permission the database attributes directly to a method
-        must appear in its summary (the region includes depth 0)."""
-        with_permissions = 0
-        for summary in table.level_summaries(LEVEL).values():
-            for method in summary.methods.values():
-                direct = apidb.permissions_for(method.ref, deep=False)
-                assert set(direct) <= set(method.permissions)
-                if method.permissions:
-                    with_permissions += 1
-        # The generated framework plants permission enforcement, so
-        # the table must have found some.
-        assert with_permissions > 0
-
-    def test_method_summary_lookup(self, framework, table):
-        summaries = table.level_summaries(LEVEL)
-        for name, summary in summaries.items():
-            for signature, method in summary.methods.items():
-                assert table.method_summary(method.ref, LEVEL) is method
-                break
-            else:
-                continue
-            break
-        assert (
-            table.method_summary(
-                MethodRef("android.not.AClass", "nope", "()void"), LEVEL
-            )
-            is None
-        )
+    def test_build_warms_the_repository(self, spec, apidb):
+        """The table is built from the repository's own image, so a
+        later whole-image load of the level is served from cache."""
+        cold = FrameworkRepository(spec)
+        FrameworkSummaryTable(cold, apidb).level_summaries(LEVEL)
+        hits = cold.cache_stats.image_hits
+        cold.load_image(LEVEL)
+        assert cold.cache_stats.image_hits == hits + 1
 
 
 class TestPersistence:
@@ -132,8 +83,7 @@ class TestPersistence:
         assert reader.stats.levels_loaded == 1
         assert set(loaded) == set(built)
         probe = next(iter(built))
-        assert loaded[probe].effects == built[probe].effects
-        assert loaded[probe].methods == built[probe].methods
+        assert loaded[probe] == built[probe]
 
     def test_corrupt_store_is_a_miss_not_an_error(
         self, framework, apidb, tmp_path

@@ -108,6 +108,22 @@ class TestCostOrdering:
         assert summarized_work < lazy_work
         assert summarized_memory < lazy_memory
 
+    def test_unit_totals_are_pinned(self, lazy_run, summarized_run):
+        """The parity corpus's exact cost-model totals: a change to how
+        the table is built or replayed must not move the accounting of
+        either mode."""
+        def totals(run):
+            stats = [
+                r.reports["SAINTDroid"].metrics.stats for r in run.results
+            ]
+            return (
+                sum(s.work_units for s in stats),
+                sum(s.memory_units for s in stats),
+            )
+
+        assert totals(lazy_run) == (228_421, 288_106)
+        assert totals(summarized_run) == (35_656, 82_614)
+
     def test_summarized_mode_actually_summarizes(self, summarized_run):
         summarized_classes = sum(
             r.reports["SAINTDroid"].metrics.stats.classes_summarized
