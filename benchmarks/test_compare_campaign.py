@@ -1,16 +1,16 @@
 """Agreement-campaign throughput (``saintdroid compare``).
 
-One seeded corpus through the full configuration roster, three ways
-— serial, pooled (``--jobs 2``), and submitted through an in-process
-serve daemon — plus a dedup arm that runs the store-consuming
-configuration against a cold and then a warm class-artifact store.
+One seeded corpus through the full configuration roster, two ways
+— serial and pooled (``--jobs 2``) — plus a dedup arm that runs the
+store-consuming configuration against a cold and then a warm
+class-artifact store.
 
 Published to ``results/BENCH_compare.json``:
 
 * apps/sec per configuration (serial arm, measured individually);
-* wall time serial vs pooled vs serve-submitted, with the canonical
-  reports asserted byte-identical across all three (the determinism
-  guarantee the CI ``compare`` job also enforces end to end);
+* wall time serial vs pooled, with the canonical reports asserted
+  byte-identical across both (the determinism guarantee the CI
+  ``compare`` job also enforces end to end);
 * the class-store hit-rate uplift a warm store gives a repeated
   campaign over the same corpus (only the plain SAINTDroid
   configuration consumes the store — the ablations deliberately
@@ -97,7 +97,6 @@ def campaign_bench() -> dict:
 
     wall_serial_campaign, report_serial = timed()
     wall_pooled, report_pooled = timed(jobs=2)
-    wall_serve, report_serve = timed(via_serve=True, jobs=2)
 
     # Dedup arm: the store-consuming configuration cold, then warm
     # against the same in-process store (a repeated campaign's view).
@@ -125,11 +124,8 @@ def campaign_bench() -> dict:
             "serial_sum": round(serial_wall, 3),
             "serial_campaign": round(wall_serial_campaign, 3),
             "pooled_jobs2": round(wall_pooled, 3),
-            "serve_submitted": round(wall_serve, 3),
         },
-        "reports_identical": (
-            report_serial == report_pooled == report_serve
-        ),
+        "reports_identical": report_serial == report_pooled,
         "dedup": {
             "configuration": "SAINTDroid",
             "cold_wall_s": round(cold_s, 3),

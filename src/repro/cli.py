@@ -211,8 +211,7 @@ def build_parser() -> argparse.ArgumentParser:
         )
         command.add_argument(
             "--retry-backoff", type=float, default=0.0, metavar="S",
-            help="base of the bounded exponential backoff between "
-                 "retries",
+            help="full-jitter backoff base between retries",
         )
         command.add_argument(
             "--checkpoint", type=Path, default=None, metavar="PATH",
@@ -350,7 +349,7 @@ def build_parser() -> argparse.ArgumentParser:
     compare.add_argument(
         "--seed", type=int, default=2026,
         help="campaign seed; a fixed seed reproduces every matrix "
-             "byte for byte across --jobs and --via-serve",
+             "byte for byte at any --jobs",
     )
     compare.add_argument(
         "--apps", type=int, default=200,
@@ -363,12 +362,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="configurations to run (default: all "
              f"{len(ALL_TOOL_CONFIGS)}: "
              + ", ".join(ALL_TOOL_CONFIGS) + ")",
-    )
-    compare.add_argument(
-        "--via-serve", action="store_true",
-        help="route every analysis through an in-process serve "
-             "daemon (batch submission path) instead of the corpus "
-             "schedulers — results are byte-identical",
     )
     compare.add_argument(
         "--report", type=Path, default=None, metavar="PATH",
@@ -884,7 +877,6 @@ def _cmd_compare(args: argparse.Namespace) -> int:
         n_apps=args.apps,
         configs=tuple(args.configs),
         jobs=args.jobs,
-        via_serve=args.via_serve,
         timeout_s=args.timeout,
         max_retries=args.max_retries,
         retry_backoff_s=args.retry_backoff,

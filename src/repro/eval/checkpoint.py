@@ -22,7 +22,10 @@ followed by one result record per completed app::
     {"type": "result", "index": 17, "app": "corpus-00017", ...}
 
 A truncated final line (the run died mid-write) is silently dropped;
-the affected app is simply re-analyzed on resume.
+the affected app is simply re-analyzed on resume.  The resumed run's
+first append cuts that torn tail back to the last newline, so its
+records never glue onto the fragment and the next resume reads a clean
+file.
 """
 
 from __future__ import annotations
@@ -190,6 +193,7 @@ class CheckpointJournal:
     def __init__(self, path: str | Path, *, tools: tuple[str, ...]):
         self.path = Path(path)
         self.tools = tuple(tools)
+        self._tail_checked = False
 
     def load(self) -> dict[int, AppResult]:
         """Read all journaled results, validating the header."""
@@ -219,6 +223,9 @@ class CheckpointJournal:
 
     def append(self, index: int, result: AppResult) -> None:
         """Durably record one finalized result."""
+        if not self._tail_checked:
+            self._cut_torn_tail()
+            self._tail_checked = True
         record = json.dumps(result_to_dict(index, result))
         header = ""
         if not self.path.exists() or self.path.stat().st_size == 0:
@@ -235,6 +242,17 @@ class CheckpointJournal:
         with open(self.path, "a") as handle:
             handle.write(header + record + "\n")
             handle.flush()
+
+    def _cut_torn_tail(self) -> None:
+        """Drop an unterminated last line (a write torn by a kill),
+        which ``load()`` skipped, so the next record starts its own
+        line."""
+        if not self.path.exists():
+            return
+        with open(self.path, "rb+") as handle:
+            data = handle.read()
+            if data and not data.endswith(b"\n"):
+                handle.truncate(data.rfind(b"\n") + 1)
 
     def _check_header(self, doc: dict) -> None:
         version = doc.get("version")

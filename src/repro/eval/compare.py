@@ -25,8 +25,7 @@ against the seeded ground truth, and computes
   scenario-diversity flywheel).
 
 Campaigns are deterministic — the canonical report is byte-identical
-across the serial scheduler, the process pool (``jobs > 1``), and
-submission through the resident serve daemon (``via_serve``) — and
+across the serial scheduler and the process pool (``jobs > 1``) — and
 checkpoint/resumable: each configuration journals to its own JSONL
 file under ``checkpoint_dir``, so a killed 10k-app campaign resumes
 mid-configuration.  ``--summaries``/``--dedup`` compose: cross-mode
@@ -52,10 +51,8 @@ from ..difftest.strategy import (
 from ..framework.repository import FrameworkRepository
 from ..workload.appgen import ForgedApp
 from .accuracy import ConfusionCounts
-from .checkpoint import CheckpointJournal
 from .runner import (
     ALL_TOOL_CONFIGS,
-    AppResult,
     RunResults,
     ToolSet,
     run_tools,
@@ -93,8 +90,8 @@ COMPARE_CONFIGS: tuple[str, ...] = ALL_TOOL_CONFIGS
 
 
 class CompareError(Exception):
-    """A campaign invariant was violated (coverage gap, lost serve
-    result, capability mismatch surfaced via ``check``)."""
+    """A campaign invariant was violated (coverage gap, capability
+    mismatch surfaced via ``check``)."""
 
 
 # ---------------------------------------------------------------------------
@@ -111,9 +108,6 @@ class CompareConfig:
     configs: tuple[str, ...] = COMPARE_CONFIGS
     #: Worker processes per configuration run (1 = serial).
     jobs: int = 1
-    #: Route every analysis through an in-process serve daemon
-    #: (the batch-submission path) instead of ``run_tools``.
-    via_serve: bool = False
     timeout_s: float | None = None
     max_retries: int = 0
     retry_backoff_s: float = 0.0
@@ -719,80 +713,6 @@ def _run_config(
     )
 
 
-def _run_config_via_serve(
-    name: str,
-    apps: list[ForgedApp],
-    config: CompareConfig,
-    framework: FrameworkRepository,
-    apidb,
-    progress: Callable[[str], None] | None,
-) -> RunResults:
-    """The batch-submission path: boot an in-process daemon for this
-    configuration, stream the corpus through it, and journal settled
-    results client-side so serve-mode campaigns resume exactly like
-    scheduler-mode ones."""
-    from ..apk.serialization import apk_to_dict
-    from ..serve import AnalysisService, ServeConfig
-
-    journal = None
-    restored: dict[int, AppResult] = {}
-    path = _checkpoint_path(config, name)
-    if path is not None:
-        journal = CheckpointJournal(path, tools=(name,))
-        restored = journal.load()
-    pending = [
-        (index, app)
-        for index, app in enumerate(apps)
-        if index not in restored
-    ]
-    results: dict[int, AppResult] = dict(restored)
-    if pending:
-        serve_config = ServeConfig(
-            workers=max(config.jobs, 1),
-            include=(name,),
-            summaries=config.summaries,
-            dedup=config.dedup,
-            cache_dir=config.cache_dir,
-            queue_limit=max(64, len(pending)),
-            timeout_s=(
-                config.timeout_s if config.timeout_s is not None
-                else 30.0
-            ),
-            max_retries=config.max_retries,
-            retry_backoff_s=config.retry_backoff_s,
-        )
-        service = AnalysisService(
-            serve_config, framework.spec, substrate=(framework, apidb)
-        ).start()
-        try:
-            settled = service.submit_batch(
-                [
-                    (apk_to_dict(app.apk), app.truth.to_dict())
-                    for _, app in pending
-                ],
-                wait_timeout_s=max(
-                    300.0, 30.0 * (config.timeout_s or 1.0)
-                ),
-            )
-        finally:
-            service.drain(timeout_s=60.0)
-        for (index, app), job in zip(pending, settled):
-            if job.result is None:
-                raise CompareError(
-                    f"serve job for {app.apk.name!r} settled without "
-                    f"a result (state {job.state.value})"
-                )
-            results[index] = job.result
-            if journal is not None:
-                journal.append(index, job.result)
-            if progress is not None:
-                progress(f"[{name}] {app.apk.name} (serve)")
-    return RunResults(
-        results=[results[index] for index in range(len(apps))],
-        resumed_indices=tuple(sorted(restored)),
-    )
-
-
 @dataclass
 class CompareResult:
     """One finished campaign: the canonical report plus everything
@@ -849,10 +769,7 @@ def run_compare(
     for name in config.configs:
         if progress is not None:
             progress(f"=== configuration {name}")
-        runner = (
-            _run_config_via_serve if config.via_serve else _run_config
-        )
-        runs[name] = runner(
+        runs[name] = _run_config(
             name, apps, config, framework, apidb, progress
         )
     joins = join_runs(apps, runs)

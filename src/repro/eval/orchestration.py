@@ -1,25 +1,26 @@
 """Corpus orchestration: the single retry/quarantine/checkpoint/cache
 engine behind both schedulers.
 
-:func:`run_corpus` owns everything that used to be duplicated between
-the serial loop and the process pool — checkpoint restore,
-persistent-cache lookup and write-back, retry rounds with bounded
-backoff, quarantine, journaling, progress, and corpus-order assembly.
-A scheduler is reduced to a :class:`CorpusBackend` that answers one
-question: *how does one round of pending apps get analyzed?*  The
-serial backend walks them in order in-process; the pool backend
-(:class:`repro.eval.parallel.PoolBackend`) fans them out over resident
-worker processes, for :func:`run_corpus` and for the daemon's
-:func:`run_stream` alike.  Everything else — and therefore every
-fingerprint-relevant decision — is this module, once.
+:func:`run_stream` is the one engine.  It pulls work from a
+:class:`JobSource`, hands it to a :class:`CorpusBackend`, and makes
+the one retry-or-deliver decision: a retryable failure (timeout,
+worker-lost, resource) re-enters a retry window with full-jitter
+backoff until ``max_retries`` is spent, when it is delivered
+quarantined with its final error record.  A scheduler is reduced to a
+backend that answers one question: *how does one batch of pending apps
+get analyzed?*  The serial backend walks them in order in-process; the
+pool backend (:class:`repro.eval.parallel.PoolBackend`) fans them out
+over resident worker processes.
 
-Scheduling works in *rounds*.  Round 0 covers the whole pending
-corpus.  If anything failed retryably (timeout, worker-lost,
-resource), round ``r`` re-dispatches those apps — after a bounded
-backoff — until they succeed or exhaust ``max_retries``, at which
-point they are quarantined with their final error record.  A fault-
-free run takes exactly one round; the tolerance machinery costs
-nothing until something actually breaks.
+A batch run is a stream over a closed source.  :func:`run_corpus`
+restores the checkpoint and serves persistent-cache hits, then runs
+:func:`run_stream` over a source that hands out every pending app in
+one batch and then reports itself drained; delivery writes clean
+fresh results back to the cache, journals every finalized result and
+assembles corpus order.  The daemon (:mod:`repro.serve`) runs the
+same engine over its admission queue.  A fault-free batch run
+dispatches exactly once; with zero backoff, the retries of one
+dispatch go back out together, in corpus-index order.
 """
 
 from __future__ import annotations
@@ -64,15 +65,17 @@ def apk_fingerprint(forged: ForgedApp) -> str | None:
 
 
 class CorpusBackend:
-    """What a scheduler must provide to :func:`run_corpus`.
+    """What a scheduler must provide to :func:`run_stream`.
 
     One backend instance serves one run, analyzing with one
-    :class:`~repro.eval.runner.ToolSet`; it may keep round-spanning
+    :class:`~repro.eval.runner.ToolSet` and injecting the faults of one
+    optional ``fault_plan`` (chaos testing); it may keep batch-spanning
     state (worker cache accounting).
     """
 
-    def __init__(self, toolset: ToolSet) -> None:
+    def __init__(self, toolset: ToolSet, *, fault_plan=None) -> None:
         self.toolset = toolset
+        self.fault_plan = fault_plan
 
     @property
     def spec(self):
@@ -89,15 +92,15 @@ class CorpusBackend:
         cache_dir: str | Path | None,
         pending: Iterable[Entry] = (),
     ) -> None:
-        """One-time setup before round 0, called only when at least
-        one app actually needs analysis.  ``pending`` is the post-cache
-        work list, so a backend can pre-warm exactly the framework
-        levels the round will touch."""
+        """One-time setup before the first batch, called only when at
+        least one app actually needs analysis.  ``pending`` is that
+        batch, so a backend can pre-warm exactly the framework levels
+        it will touch."""
 
     def run_round(
-        self, pending: list[Entry], round_no: int
+        self, pending: list[Entry]
     ) -> Iterable[tuple[Entry, AppResult]]:
-        """Analyze one round's entries, yielding each with its result
+        """Analyze one batch of entries, yielding each with its result
         (in any order; :func:`run_corpus` restores corpus order)."""
         raise NotImplementedError
 
@@ -125,9 +128,9 @@ class CorpusBackend:
         return self.cache_stats()
 
     def close(self) -> None:
-        """Release what outlives a round (worker processes).  Called
+        """Release what outlives a batch (worker processes).  Called
         from a ``finally`` — it must be idempotent and safe even when
-        :meth:`prepare` never ran or a round raised."""
+        :meth:`prepare` never ran or a batch raised."""
 
 
 class SerialBackend(CorpusBackend):
@@ -140,18 +143,17 @@ class SerialBackend(CorpusBackend):
         timeout_s: float | None = None,
         fault_plan=None,
     ) -> None:
-        super().__init__(toolset)
+        super().__init__(toolset, fault_plan=fault_plan)
         self._timeout_s = timeout_s
-        self._fault_plan = fault_plan
 
     def run_round(
-        self, pending: list[Entry], round_no: int
+        self, pending: list[Entry]
     ) -> Iterable[tuple[Entry, AppResult]]:
         for entry in pending:
             index, forged, attempt = entry
             fault = (
-                self._fault_plan.fault_for(index)
-                if self._fault_plan is not None
+                self.fault_plan.fault_for(index)
+                if self.fault_plan is not None
                 else None
             )
             yield entry, analyze_app(
@@ -163,165 +165,22 @@ class SerialBackend(CorpusBackend):
             )
 
 
-def run_corpus(
-    apps: Iterable[ForgedApp],
-    backend: CorpusBackend,
-    *,
-    max_retries: int = 0,
-    retry_backoff_s: float = 0.0,
-    fault_plan=None,
-    checkpoint: str | Path | None = None,
-    cache_dir: str | Path | None = None,
-    progress: Callable[[str], None] | None = None,
-) -> RunResults:
-    """Run every app through ``backend``, with the full fault-tolerance
-    and caching envelope.
-
-    The stages, identical for every scheduler:
-
-    1. **checkpoint restore** — journaled indices are adopted verbatim
-       and never re-analyzed;
-    2. **persistent cache** — clean results keyed by (APK digest,
-       tools, framework) are served from disk; fault-injected indices
-       bypass the cache so chaos runs quarantine exactly what an
-       uncached run would;
-    3. **retry rounds** — ``backend.run_round`` analyzes what remains;
-       retryable failures re-enter the next round (bounded backoff)
-       until ``max_retries`` is spent, then quarantine;
-    4. **finalization** — clean fresh results are written back to the
-       cache, every finalized result is journaled, and results are
-       assembled in corpus order.
-    """
-    indexed = list(enumerate(apps))
-    out = RunResults()
-    if not indexed:
-        return out
-
-    journal = None
-    restored: dict[int, AppResult] = {}
-    if checkpoint is not None:
-        from .checkpoint import CheckpointJournal
-
-        journal = CheckpointJournal(checkpoint, tools=backend.tool_names)
-        restored = journal.load()
-
-    done: dict[int, AppResult] = dict(restored)
-    pending: list[Entry] = [
-        (index, forged, 0)
-        for index, forged in indexed
-        if index not in restored
-    ]
-
-    # Persistent cache: result hits are served before any dispatch
-    # (the backend never sees them), misses are fingerprinted now and
-    # stored after finalization — a single writer, no locking.
-    rcache = None
-    fp_by_index: dict[int, str] = {}
-    cached: list[int] = []
-    if cache_dir is not None:
-        from ..cache import (
-            ResultCache,
-            fingerprint_config,
-            fingerprint_spec,
-        )
-
-        rcache = ResultCache(
-            cache_dir,
-            framework_fingerprint=fingerprint_spec(backend.spec),
-            # ``or None`` keeps the default configuration's key
-            # byte-identical to the pre-options era, so existing
-            # caches stay warm.
-            config_fingerprint=fingerprint_config(
-                backend.tool_names, backend.toolset.config_options() or None
-            ),
-        )
-        still_pending: list[Entry] = []
-        for entry in pending:
-            index, forged, attempt = entry
-            faulted = (
-                fault_plan is not None
-                and fault_plan.fault_for(index) is not None
-            )
-            apk_fp = None if faulted else apk_fingerprint(forged)
-            hit = rcache.get(apk_fp) if apk_fp is not None else None
-            if hit is not None:
-                done[index] = hit
-                cached.append(index)
-                if journal is not None:
-                    journal.append(index, hit)
-                if progress is not None:
-                    progress(hit.app)
-                continue
-            if apk_fp is not None:
-                fp_by_index[index] = apk_fp
-            still_pending.append(entry)
-        pending = still_pending
-
-    # The close() in the finally is the backstop that keeps worker
-    # processes from outliving the run when a round raises or SIGINT
-    # unwinds the loop.
-    try:
-        if pending:
-            backend.prepare(cache_dir, pending)
-
-        round_no = 0
-        while pending:
-            if round_no > 0 and retry_backoff_s > 0.0:
-                # Full jitter: a deterministic backoff would wake every
-                # retried app at once and re-stampede the pool.
-                time.sleep(_full_jitter_backoff(retry_backoff_s, round_no))
-            next_pending: list[Entry] = []
-            for entry, result in backend.run_round(pending, round_no):
-                index, forged, attempt = entry
-                error = result.error
-                if (
-                    error is not None
-                    and error.retryable
-                    and attempt < max_retries
-                ):
-                    next_pending.append((index, forged, attempt + 1))
-                    continue
-                done[index] = result
-                if rcache is not None and result.ok and index in fp_by_index:
-                    rcache.put(fp_by_index[index], result)
-                if journal is not None:
-                    journal.append(index, result)
-                if progress is not None:
-                    progress(result.app)
-            next_pending.sort(key=lambda entry: entry[0])
-            pending = next_pending
-            round_no += 1
-
-        out.results = [done[index] for index, _ in indexed]
-        out.cache_stats = backend.finish(cache_dir)
-    finally:
-        backend.close()
-    if rcache is not None:
-        rcache.flush()
-        out.cache_stats["results"] = rcache.stats.as_dict()
-    out.resumed_indices = tuple(sorted(restored))
-    out.cached_indices = tuple(sorted(cached))
-    return out
-
-
 # ---------------------------------------------------------------------------
-# streaming job source (the daemon's entry into this engine)
+# the engine
 # ---------------------------------------------------------------------------
 
 class JobSource:
-    """Where a *streaming* run's work comes from.
+    """Where a run's work comes from.
 
-    The fixed-corpus engine (:func:`run_corpus`) knows its whole work
-    list up front; a resident daemon does not — jobs arrive over the
-    wire for as long as the service lives.  A :class:`JobSource` is
-    the streaming counterpart of the corpus list: :func:`run_stream`
-    pulls entries from it as capacity frees up and pushes every
-    *terminal* result back through :meth:`deliver`.
+    :func:`run_stream` pulls entries from a source as capacity frees up
+    and pushes every *terminal* result back through :meth:`deliver`.
+    A resident daemon's source stays open for as long as the service
+    lives; a batch run's source (:func:`run_corpus`) is closed from the
+    start.
 
-    Entries use the same ``(index, forged, attempt)`` shape as the
-    corpus engine, with ``index`` a monotonically increasing job
-    sequence number (it keys fault plans and journals exactly like a
-    corpus index does).
+    Entries use the ``(index, forged, attempt)`` shape, with ``index``
+    a corpus index or a monotonically increasing job sequence number
+    (it keys fault plans and journals either way).
     """
 
     def take(
@@ -350,29 +209,27 @@ def run_stream(
     cache_dir: str | Path | None = None,
     rng: random.Random | None = None,
 ) -> dict:
-    """Drain a streaming job source through a scheduler backend.
+    """Drain a job source through a scheduler backend.
 
-    The streaming analogue of :func:`run_corpus`, sharing its
-    retry/quarantine policy but not its batch assumptions:
-
-    * work is pulled in *micro-batches* of at most ``batch_limit``
-      entries, so admission latency stays bounded by one batch rather
+    * work is pulled in batches of at most ``batch_limit`` entries, so
+      a daemon's admission latency stays bounded by one batch rather
       than one corpus;
     * retryable failures re-enter a time-ordered retry window with
-      **full-jitter** backoff (per entry, not per round — a stream has
-      no global rounds to synchronize on) until ``max_retries`` is
-      spent, at which point the entry is delivered quarantined;
+      **full-jitter** backoff per entry until ``max_retries`` is
+      spent, at which point the entry is delivered quarantined.  The
+      retries of one dispatch are stamped with one clock reading, so
+      with zero backoff they go back out together, in index order;
     * the loop ends when the source reports closed-and-drained *and*
       the retry window is empty — every taken entry is guaranteed a
       terminal :meth:`JobSource.deliver` call.
 
     Returns counters: ``analyzed``, ``retried``, ``quarantined``,
-    ``rounds``.  Crash-safety (journaling, replay) is the *source's*
-    job — this engine only guarantees exactly-one-terminal-delivery
-    per entry it took.
+    ``rounds`` (dispatches).  Crash-safety (journaling, replay) is the
+    *source's* job — this engine only guarantees
+    exactly-one-terminal-delivery per entry it took.
     """
     stats = {"analyzed": 0, "retried": 0, "quarantined": 0, "rounds": 0}
-    #: (ready_at, seq, entry) — a heap so the soonest retry leads.
+    #: (ready_at, index, entry) — a heap so the soonest retry leads.
     retries: list[tuple[float, int, Entry]] = []
     prepared = False
     closed = False
@@ -408,7 +265,8 @@ def run_stream(
         if not prepared:
             backend.prepare(cache_dir, batch)
             prepared = True
-        for entry, result in backend.run_round(batch, stats["rounds"]):
+        failed: list[Entry] = []
+        for entry, result in backend.run_round(batch):
             index, forged, attempt = entry
             error = result.error
             if (
@@ -416,22 +274,164 @@ def run_stream(
                 and error.retryable
                 and attempt < max_retries
             ):
-                delay = _full_jitter_backoff(
-                    retry_backoff_s, attempt + 1, rng
-                )
-                heapq.heappush(
-                    retries,
-                    (
-                        time.monotonic() + delay,
-                        index,
-                        (index, forged, attempt + 1),
-                    ),
-                )
-                stats["retried"] += 1
+                failed.append((index, forged, attempt + 1))
                 continue
             if error is not None:
                 stats["quarantined"] += 1
             source.deliver(entry, result)
             stats["analyzed"] += 1
+        ready = time.monotonic()
+        for entry in failed:
+            delay = _full_jitter_backoff(retry_backoff_s, entry[2], rng)
+            heapq.heappush(retries, (ready + delay, entry[0], entry))
+        stats["retried"] += len(failed)
         stats["rounds"] += 1
     return stats
+
+
+# ---------------------------------------------------------------------------
+# batch runs: a stream over a closed source
+# ---------------------------------------------------------------------------
+
+class _ClosedSource(JobSource):
+    """A batch run's source: every pending entry in the first batch
+    (the engine's ``batch_limit`` is sized to take them all), then
+    drained."""
+
+    def __init__(
+        self,
+        pending: list[Entry],
+        deliver: Callable[[Entry, AppResult], None],
+    ) -> None:
+        self._pending = pending
+        self._deliver = deliver
+
+    def take(self, limit: int, timeout_s: float) -> "list[Entry] | None":
+        batch, self._pending = self._pending, []
+        return batch or None
+
+    def deliver(self, entry: Entry, result: AppResult) -> None:
+        self._deliver(entry, result)
+
+
+def run_corpus(
+    apps: Iterable[ForgedApp],
+    backend: CorpusBackend,
+    *,
+    max_retries: int = 0,
+    retry_backoff_s: float = 0.0,
+    checkpoint: str | Path | None = None,
+    cache_dir: str | Path | None = None,
+    progress: Callable[[str], None] | None = None,
+) -> RunResults:
+    """Run every app through ``backend``, with the full fault-tolerance
+    and caching envelope.
+
+    The stages, identical for every scheduler:
+
+    1. **checkpoint restore** — journaled indices are adopted verbatim
+       and never re-analyzed;
+    2. **persistent cache** — clean results keyed by (APK digest,
+       tools, framework) are served from disk; indices the backend's
+       fault plan targets bypass the cache so chaos runs quarantine
+       exactly what an uncached run would;
+    3. **the engine** — :func:`run_stream` analyzes what remains over
+       a closed source, retrying and quarantining;
+    4. **delivery** — clean fresh results are written back to the
+       cache, every finalized result is journaled, and results are
+       assembled in corpus order.
+    """
+    indexed = list(enumerate(apps))
+    out = RunResults()
+    if not indexed:
+        return out
+
+    journal = None
+    restored: dict[int, AppResult] = {}
+    if checkpoint is not None:
+        from .checkpoint import CheckpointJournal
+
+        journal = CheckpointJournal(checkpoint, tools=backend.tool_names)
+        restored = journal.load()
+
+    done: dict[int, AppResult] = dict(restored)
+    pending: list[Entry] = [
+        (index, forged, 0)
+        for index, forged in indexed
+        if index not in restored
+    ]
+
+    def settle(index: int, result: AppResult) -> None:
+        done[index] = result
+        if journal is not None:
+            journal.append(index, result)
+        if progress is not None:
+            progress(result.app)
+
+    # Persistent cache: result hits are served before any dispatch
+    # (the backend never sees them), misses are fingerprinted now and
+    # stored on delivery — a single writer, no locking.
+    rcache = None
+    fp_by_index: dict[int, str] = {}
+    cached: list[int] = []
+    if cache_dir is not None:
+        from ..cache import (
+            ResultCache,
+            fingerprint_config,
+            fingerprint_spec,
+        )
+
+        rcache = ResultCache(
+            cache_dir,
+            framework_fingerprint=fingerprint_spec(backend.spec),
+            # ``or None`` keeps the default configuration's key
+            # byte-identical to the pre-options era, so existing
+            # caches stay warm.
+            config_fingerprint=fingerprint_config(
+                backend.tool_names, backend.toolset.config_options() or None
+            ),
+        )
+        plan = backend.fault_plan
+        still_pending: list[Entry] = []
+        for entry in pending:
+            index, forged, attempt = entry
+            faulted = plan is not None and plan.fault_for(index) is not None
+            apk_fp = None if faulted else apk_fingerprint(forged)
+            hit = rcache.get(apk_fp) if apk_fp is not None else None
+            if hit is not None:
+                cached.append(index)
+                settle(index, hit)
+                continue
+            if apk_fp is not None:
+                fp_by_index[index] = apk_fp
+            still_pending.append(entry)
+        pending = still_pending
+
+    def deliver(entry: Entry, result: AppResult) -> None:
+        index = entry[0]
+        if rcache is not None and result.ok and index in fp_by_index:
+            rcache.put(fp_by_index[index], result)
+        settle(index, result)
+
+    # The close() in the finally is the backstop that keeps worker
+    # processes from outliving the run when a batch raises or SIGINT
+    # unwinds the engine.
+    try:
+        run_stream(
+            _ClosedSource(pending, deliver),
+            backend,
+            max_retries=max_retries,
+            retry_backoff_s=retry_backoff_s,
+            batch_limit=max(1, len(pending)),
+            cache_dir=cache_dir,
+        )
+        out.results = [done[index] for index, _ in indexed]
+        out.cache_stats = backend.finish(cache_dir)
+    finally:
+        backend.close()
+    if rcache is not None:
+        rcache.flush()
+        out.cache_stats["results"] = rcache.stats.as_dict()
+    out.resumed_indices = tuple(sorted(restored))
+    out.cached_indices = tuple(sorted(cached))
+    return out

@@ -49,9 +49,10 @@ package: ``run_tools(jobs=N)`` (so ``table``, ``rq2``, ``figure``,
 The retry/quarantine/checkpoint/cache envelope is NOT implemented
 here: it lives — once, shared verbatim with the serial scheduler — in
 :mod:`repro.eval.orchestration` (:func:`run_corpus` for a fixed
-corpus, :func:`run_stream` for the daemon).  This module contributes
-only the scheduling backend.  A retry round re-dispatches its apps to
-the same resident workers; a fault-free run forks each worker once.
+corpus, :func:`run_stream` for the daemon; the first is a stream over
+a closed source).  This module contributes only the scheduling
+backend.  A retry wave re-dispatches its apps to the same resident
+workers; a fault-free run forks each worker once.
 """
 
 from __future__ import annotations
@@ -243,14 +244,13 @@ class PoolBackend(CorpusBackend):
         hang_timeout_s: float | None = 30.0,
         fault_plan: "FaultPlan | None" = None,
     ) -> None:
-        super().__init__(toolset)
+        super().__init__(toolset, fault_plan=fault_plan)
         self.workers = max(1, workers)
         #: Per-app wall-clock budget, enforced inside the worker.
         self.timeout_s = timeout_s
         #: Parent-side backstop on top of ``timeout_s`` before a busy
         #: worker is declared hung and replaced; ``None`` never kills.
         self.hang_timeout_s = hang_timeout_s
-        self.fault_plan = fault_plan
         self._ctx = _pool_context()
         self._heartbeat = self._ctx.Array("d", self.workers, lock=False)
         self._pool: list[_Worker | None] = [None] * self.workers
@@ -342,7 +342,7 @@ class PoolBackend(CorpusBackend):
 
     def close(self) -> None:
         """Stop every worker and drop the app map.  Idempotent and safe
-        mid-round or before :meth:`start`: the engines call it from a
+        mid-batch or before :meth:`start`: the engines call it from a
         ``finally``."""
         if self._closed:
             return
@@ -396,10 +396,10 @@ class PoolBackend(CorpusBackend):
         return (index, forged, attempt, self.timeout_s, fault)
 
     def run_round(
-        self, pending: list[Entry], round_no: int
+        self, pending: list[Entry]
     ) -> list[tuple[Entry, AppResult]]:
-        """Dispatch one round (a batch round or a daemon micro-batch)
-        over the resident pool, surviving worker death and hangs
+        """Dispatch one batch (a batch run's corpus or retry wave, or
+        a daemon micro-batch) over the resident pool, surviving worker death and hangs
         without losing a single entry."""
         if not self._started:
             self.start()

@@ -613,7 +613,7 @@ def run_tools(
 
     ``max_retries`` re-attempts retryable failures (timeout,
     worker-lost, resource) before quarantining the app;
-    ``retry_backoff_s`` sleeps a bounded exponential backoff between
+    ``retry_backoff_s`` is the base of the full-jitter backoff between
     attempts.  ``checkpoint`` journals completed results to a JSONL
     file and, when the file already holds results for this corpus,
     resumes by skipping the journaled indices — a resumed run's
@@ -656,7 +656,6 @@ def run_tools(
         backend,
         max_retries=max_retries,
         retry_backoff_s=retry_backoff_s,
-        fault_plan=fault_plan,
         checkpoint=checkpoint,
         cache_dir=cache_dir,
         progress=progress,

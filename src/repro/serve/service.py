@@ -54,6 +54,14 @@ if TYPE_CHECKING:  # pragma: no cover — import cycle guard
 
 __all__ = ["ServeConfig", "AnalysisService"]
 
+#: Dispatcher batch size per worker: a batch keeps every worker busy
+#: with one app queued behind it.
+_BATCH_PER_WORKER = 2
+#: How long the dispatcher blocks on an empty queue.
+_POLL_S = 0.05
+#: Default drain budget for in-flight work on shutdown.
+_DRAIN_TIMEOUT_S = 30.0
+
 
 @dataclass
 class ServeConfig:
@@ -71,10 +79,9 @@ class ServeConfig:
     #: Persistent cache directory (snapshots + cross-restart dedup);
     #: ``None`` disables both.
     cache_dir: str | None = None
-    #: Write-ahead journal path; ``None`` disables crash recovery.
+    #: Write-ahead journal path (fsynced on every append); ``None``
+    #: disables crash recovery.
     journal: str | None = None
-    #: fsync every journal append (off only for benchmarks).
-    journal_fsync: bool = True
     #: Admission-queue capacity (queued + running).
     queue_limit: int = 64
     #: Load-shed serialized packages above this size (``None`` = no
@@ -90,19 +97,8 @@ class ServeConfig:
     max_retries: int = 2
     #: Full-jitter backoff base between retries.
     retry_backoff_s: float = 0.05
-    #: Dispatcher micro-batch size (``None`` = 2 × workers).
-    batch_limit: int | None = None
-    #: Dispatcher poll interval.
-    poll_s: float = 0.05
-    #: Drain budget for in-flight work on shutdown.
-    drain_timeout_s: float = 30.0
     #: Injected faults (chaos testing only).
     fault_plan: "FaultPlan | None" = None
-
-    def resolved_batch_limit(self) -> int:
-        if self.batch_limit is not None:
-            return max(1, self.batch_limit)
-        return max(1, 2 * self.workers)
 
 
 @dataclass
@@ -168,9 +164,7 @@ class AnalysisService:
         )
         if config.journal is not None:
             self.journal = ServeJournal(
-                config.journal,
-                tools=toolset.tool_names,
-                fsync=config.journal_fsync,
+                config.journal, tools=toolset.tool_names
             )
         recovery = (
             self.journal.load() if self.journal is not None else None
@@ -250,8 +244,8 @@ class AnalysisService:
             self.pool,
             max_retries=self.config.max_retries,
             retry_backoff_s=self.config.retry_backoff_s,
-            batch_limit=self.config.resolved_batch_limit(),
-            poll_s=self.config.poll_s,
+            batch_limit=max(1, _BATCH_PER_WORKER * self.config.workers),
+            poll_s=_POLL_S,
             cache_dir=self.config.cache_dir,
         )
 
@@ -267,11 +261,7 @@ class AnalysisService:
             if self._state.drained:
                 return "drained"
             self._state.draining = True
-            budget = (
-                timeout_s
-                if timeout_s is not None
-                else self.config.drain_timeout_s
-            )
+            budget = timeout_s if timeout_s is not None else _DRAIN_TIMEOUT_S
             if self.queue is not None:
                 self.queue.close()
             self._inject_drain_fault()
@@ -321,45 +311,6 @@ class AnalysisService:
 
             raise QueueClosedError("service not started")
         return self.queue.submit(apk_doc, truth_doc, job_id=job_id)
-
-    def submit_batch(
-        self,
-        submissions,
-        *,
-        wait_timeout_s: float = 60.0,
-    ) -> list[Job]:
-        """Submit many ``(apk_doc, truth_doc)`` pairs and wait for
-        every job to reach a terminal state.
-
-        The corpus-campaign ingestion path (``saintdroid compare
-        --via-serve``): admission backpressure is honored in-process —
-        a full queue sleeps the advertised ``Retry-After`` and
-        resubmits instead of surfacing 429 to the caller — and the
-        returned jobs are in submission order regardless of completion
-        order, so batch results join against the corpus by index.
-        Raises :class:`TimeoutError` when a job fails to settle inside
-        ``wait_timeout_s``.
-        """
-        from .queue import QueueFullError
-
-        jobs: list[Job] = []
-        for apk_doc, truth_doc in submissions:
-            while True:
-                try:
-                    jobs.append(self.submit(apk_doc, truth_doc))
-                    break
-                except QueueFullError as exc:
-                    time.sleep(max(exc.retry_after_s, 0.01))
-        settled: list[Job] = []
-        for job in jobs:
-            done = self.wait(job.id, timeout_s=wait_timeout_s)
-            if done is None or not done.terminal:
-                raise TimeoutError(
-                    f"job {job.id} did not settle within "
-                    f"{wait_timeout_s:.0f}s"
-                )
-            settled.append(done)
-        return settled
 
     def job(self, job_id: str) -> Job | None:
         return self.queue.job(job_id) if self.queue is not None else None

@@ -99,6 +99,26 @@ class TestJournal:
         restored = journal.load()
         assert sorted(restored) == [0]
 
+    def test_second_resume_after_torn_tail(self, tmp_path, baseline):
+        """Records appended after a torn tail start their own line, so
+        any number of kill/resume cycles keep the journal readable."""
+        path = tmp_path / "run.jsonl"
+        journal = CheckpointJournal(path, tools=TOOLS)
+        journal.append(0, baseline.results[0])
+        journal.append(1, baseline.results[1])
+        path.write_bytes(path.read_bytes()[:-20])
+        assert sorted(journal.load()) == [0]
+        resumed = CheckpointJournal(path, tools=TOOLS)
+        resumed.append(1, baseline.results[1])
+        resumed.append(2, baseline.results[2])
+        restored = resumed.load()
+        assert sorted(restored) == [0, 1, 2]
+        for index, result in restored.items():
+            assert (
+                result.fingerprint()
+                == baseline.results[index].fingerprint()
+            )
+
     def test_corrupt_middle_line_rejected(self, tmp_path, baseline):
         path = tmp_path / "run.jsonl"
         journal = CheckpointJournal(path, tools=TOOLS)

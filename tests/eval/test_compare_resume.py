@@ -119,18 +119,3 @@ def test_worker_death_recovery_matches_baseline(
     )
     assert canonical_json(result.report) == baseline[0]
 
-
-@pytest.mark.slow
-def test_resume_crosses_into_serve_mode(
-    tmp_path, baseline, framework, apidb
-):
-    """A journal written by the corpus scheduler resumes through the
-    serve daemon's batch-submission path: same file name, same tools
-    tuple, same bytes out."""
-    _campaign(tmp_path, framework, apidb)
-    _kill(tmp_path / "ckpt")
-    resumed = _campaign(
-        tmp_path, framework, apidb, via_serve=True, jobs=2
-    )
-    assert resumed.runs[CONFIGS[0]].resumed_indices == (0, 1, 2, 3)
-    assert canonical_json(resumed.report) == baseline[0]

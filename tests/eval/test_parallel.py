@@ -274,7 +274,7 @@ class TestAppShipping:
         backend = parallel.PoolBackend(
             saintdroid, workers=1, hang_timeout_s=None, fault_plan=plan
         )
-        out = run_corpus(apps, backend, max_retries=1, fault_plan=plan)
+        out = run_corpus(apps, backend, max_retries=1)
         serial = run_tools(apps, saintdroid)
         assert out.findings_fingerprint() == serial.findings_fingerprint()
         assert backend.restarts == 1

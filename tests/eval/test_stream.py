@@ -1,5 +1,6 @@
-"""The streaming orchestration engine (:func:`run_stream`) and the
-full-jitter backoff, unit-tested with stub sources/backends.
+"""The orchestration engine (:func:`run_stream`), the batch runs it
+drives (:func:`run_corpus`), and the full-jitter backoff, unit-tested
+with stub sources/backends.
 
 Stub entries reuse the engine's ``(index, forged, attempt)`` shape
 with plain :class:`AppResult` values — no analysis, no processes — so
@@ -13,7 +14,12 @@ from __future__ import annotations
 import random
 
 from repro.core.errors import AnalysisError, AnalysisPhase, ErrorKind
-from repro.eval.orchestration import CorpusBackend, JobSource, run_stream
+from repro.eval.orchestration import (
+    CorpusBackend,
+    JobSource,
+    run_corpus,
+    run_stream,
+)
 from repro.eval.runner import BACKOFF_CAP_FACTOR, _full_jitter_backoff
 from repro.eval.runner import AppResult, _bounded_backoff
 from repro.workload.groundtruth import GroundTruth
@@ -65,6 +71,8 @@ class _StubBackend(CorpusBackend):
         self.permanent = permanent
         self.prepared = 0
         self.dispatched: list[tuple[int, int]] = []
+        #: The ``(index, attempt)`` entries of each ``run_round`` call.
+        self.rounds: list[list[tuple[int, int]]] = []
 
     @property
     def spec(self):  # pragma: no cover — unused by run_stream
@@ -77,7 +85,8 @@ class _StubBackend(CorpusBackend):
     def prepare(self, cache_dir, pending=()):
         self.prepared += 1
 
-    def run_round(self, pending, round_no):
+    def run_round(self, pending):
+        self.rounds.append([(index, attempt) for index, _, attempt in pending])
         out = []
         for entry in pending:
             index, app, attempt = entry
@@ -150,6 +159,44 @@ class TestRunStream:
         source = _ListSource(0)
         stats = run_stream(source, _StubBackend())
         assert stats["analyzed"] == 0
+
+
+class TestRunCorpus:
+    """A batch run is a stream over a closed source.  The ledger reads
+    ``eval.retries`` as the number of ``run_round`` calls after the
+    first, so the dispatch count is part of the contract."""
+
+    @staticmethod
+    def _apps(count: int) -> list[str]:
+        return [f"app-{i}" for i in range(count)]
+
+    def test_fault_free_corpus_dispatches_once(self):
+        backend = _StubBackend()
+        out = run_corpus(self._apps(7), backend)
+        assert backend.rounds == [[(i, 0) for i in range(7)]]
+        assert backend.prepared == 1
+        assert [r.app for r in out.results] == self._apps(7)
+
+    def test_each_retry_wave_is_one_dispatch_in_index_order(self):
+        # Failures are yielded out of index order; each wave must still
+        # go back out together, sorted by index.
+        backend = _ReversedStubBackend(fail_until={5: 2, 1: 1, 3: 2})
+        out = run_corpus(self._apps(6), backend, max_retries=2)
+        assert backend.rounds == [
+            [(i, 0) for i in range(6)],
+            [(1, 1), (3, 1), (5, 1)],
+            [(3, 2), (5, 2)],
+        ]
+        assert all(r.ok for r in out.results)
+        assert [r.app for r in out.results] == self._apps(6)
+
+
+class _ReversedStubBackend(_StubBackend):
+    """Yields each batch's results in reverse dispatch order, as a pool
+    may."""
+
+    def run_round(self, pending):
+        return list(reversed(super().run_round(pending)))
 
 
 class TestFullJitterBackoff:

@@ -46,7 +46,7 @@ class TestDispatch:
         self, pool, framework, apidb
     ):
         entries = [(i, _forged(f"d{i}"), 0) for i in range(4)]
-        out = pool.run_round(entries, 0)
+        out = pool.run_round(entries)
         assert len(out) == 4
         toolset = ToolSet.default(
             framework, apidb, include=("SAINTDroid",)
@@ -61,7 +61,7 @@ class TestDispatch:
     def test_pool_survives_consecutive_rounds(self, pool):
         for round_no in range(3):
             entries = [(round_no * 10, _forged(f"r{round_no}"), 0)]
-            out = pool.run_round(entries, round_no)
+            out = pool.run_round(entries)
             assert out[0][1].error is None
         assert pool.restarts == 0
         assert pool.liveness()["alive"] == 2
@@ -80,7 +80,7 @@ class TestWorkerDeath:
         )
         pool.fault_plan = plan
         entries = [(i, _forged(f"k{i}"), 0) for i in range(3)]
-        out = pool.run_round(entries, 0)
+        out = pool.run_round(entries)
         assert len(out) == 3
         by_seq = {entry[0]: result for entry, result in out}
         lost = by_seq[1]
@@ -96,13 +96,13 @@ class TestWorkerDeath:
         # The slot is genuinely usable again (retry attempt 1: the
         # transient fault is spent, the app recovers).
         pool.fault_plan = None
-        retry = pool.run_round([(1, _forged("k1"), 1)], 1)
+        retry = pool.run_round([(1, _forged("k1"), 1)])
         assert retry[0][1].error is None
 
     def test_externally_killed_worker(self, pool):
         victim = pool.liveness()["pids"][0]
         os.kill(victim, signal.SIGKILL)
-        out = pool.run_round([(7, _forged("ext"), 0)], 0)
+        out = pool.run_round([(7, _forged("ext"), 0)])
         # Either the dead slot was respawned before dispatch (clean
         # result) or its loss was synthesized retryably; both keep
         # the daemon alive and the pool full.
@@ -133,7 +133,7 @@ class TestHungWorker:
                 }
             )
             sup.fault_plan = plan
-            out = sup.run_round([(0, _forged("hang"), 0)], 0)
+            out = sup.run_round([(0, _forged("hang"), 0)])
             result = out[0][1]
             assert result.error is not None
             assert result.error.kind is ErrorKind.WORKER_LOST
@@ -179,7 +179,7 @@ class TestHungWorker:
                 }
             )
             started = time.monotonic()
-            out = sup.run_round([(0, _forged("hang"), 0), (1, big, 0)], 0)
+            out = sup.run_round([(0, _forged("hang"), 0), (1, big, 0)])
             elapsed = time.monotonic() - started
             by_seq = {entry[0]: result for entry, result in out}
             assert by_seq[0].error is not None
