@@ -76,6 +76,7 @@ from .eval import (
     table3_times,
     table4_capabilities,
 )
+from .eval.journal import JournalError
 from .framework.repository import FrameworkRepository
 from .pipeline import PipelineError
 from .workload import (
@@ -1140,6 +1141,9 @@ def main(argv: list[str] | None = None) -> int:
         return 1
     except SerializationError as exc:
         print(f"error: not a valid .sapk package: {exc}", file=sys.stderr)
+        return 1
+    except JournalError as exc:
+        print(f"error: {exc}", file=sys.stderr)
         return 1
 
 

@@ -3,15 +3,14 @@
 A corpus run over thousands of apps can be killed — by an operator, a
 scheduler preemption, or the machine itself — with hours of finished
 analysis in memory.  The journal makes those results durable: every
-finalized :class:`~repro.eval.runner.AppResult` is appended to a JSONL
-file the moment it completes (one fsync-friendly line per app, in
-completion order, tagged with its corpus index).  A re-run pointed at
-the same journal *resumes*: journaled indices are restored instead of
-re-analyzed, and because the serialization round-trips every
-fingerprint-relevant field (mismatches, metrics work/memory units,
-ground truth, error records), a resumed run's
-:meth:`RunResults.fingerprint` is bit-identical to an uninterrupted
-one's.
+finalized :class:`~repro.eval.runner.AppResult` is appended, fsynced,
+the moment it completes (one line per app, in completion order, tagged
+with its corpus index).  A re-run pointed at the same journal
+*resumes*: journaled indices are restored instead of re-analyzed, and
+because the serialization round-trips every fingerprint-relevant field
+(mismatches, metrics work/memory units, ground truth, error records),
+a resumed run's :meth:`RunResults.fingerprint` is bit-identical to an
+uninterrupted one's.
 
 File format — line 1 is a header record::
 
@@ -21,16 +20,16 @@ followed by one result record per completed app::
 
     {"type": "result", "index": 17, "app": "corpus-00017", ...}
 
-A truncated final line (the run died mid-write) is silently dropped;
-the affected app is simply re-analyzed on resume.  The resumed run's
-first append cuts that torn tail back to the last newline, so its
-records never glue onto the fragment and the next resume reads a clean
-file.
+The framing is :class:`~repro.eval.journal.AppendLog`'s: a header for
+other tools or another version is refused, and a torn final line (the
+run died mid-write) is dropped, so that app is re-analyzed; the
+resumed run's first append cuts it and leaves a ``torn`` marker, which
+this reader skips.  Any other line that does not decode raises
+:class:`CheckpointError`.
 """
 
 from __future__ import annotations
 
-import json
 from pathlib import Path
 
 from ..analysis.intervals import ApiInterval
@@ -40,15 +39,13 @@ from ..core.metrics import AnalysisMetrics
 from ..core.mismatch import Mismatch, MismatchKind
 from ..ir.types import MethodRef
 from ..workload.groundtruth import GroundTruth
+from .journal import AppendLog, JournalError
 from .runner import AppResult
 
 __all__ = ["CheckpointError", "CheckpointJournal"]
 
-FORMAT_VERSION = 1
-
-
-class CheckpointError(ValueError):
-    """The journal is unusable for this run (wrong tools/version)."""
+#: The journal error type, under the name the batch API exports.
+CheckpointError = JournalError
 
 
 # ---------------------------------------------------------------------------
@@ -191,78 +188,24 @@ class CheckpointJournal:
     """
 
     def __init__(self, path: str | Path, *, tools: tuple[str, ...]):
-        self.path = Path(path)
-        self.tools = tuple(tools)
-        self._tail_checked = False
+        self._log = AppendLog(path, tools=tools)
 
     def load(self) -> dict[int, AppResult]:
         """Read all journaled results, validating the header."""
-        if not self.path.exists():
-            return {}
-        restored: dict[int, AppResult] = {}
-        lines = self.path.read_text().splitlines()
-        for lineno, line in enumerate(lines):
-            if not line.strip():
-                continue
-            try:
-                doc = json.loads(line)
-            except json.JSONDecodeError:
-                if lineno == len(lines) - 1:
-                    # The run died mid-write; drop the partial record
-                    # and let resume re-analyze that app.
-                    continue
-                raise CheckpointError(
-                    f"{self.path}: corrupt journal line {lineno + 1}"
-                )
-            if doc.get("type") == "header":
-                self._check_header(doc)
-            elif doc.get("type") == "result":
-                index, result = result_from_dict(doc)
-                restored[index] = result
-        return restored
+        records, bad, _torn = self._log.read()
+        if bad:
+            raise CheckpointError(
+                f"{self._log.path}: corrupt journal line {bad[0]}"
+            )
+        return dict(
+            result_from_dict(doc)
+            for doc in records
+            if doc.get("type") == "result"
+        )
 
     def append(self, index: int, result: AppResult) -> None:
         """Durably record one finalized result."""
-        if not self._tail_checked:
-            self._cut_torn_tail()
-            self._tail_checked = True
-        record = json.dumps(result_to_dict(index, result))
-        header = ""
-        if not self.path.exists() or self.path.stat().st_size == 0:
-            header = (
-                json.dumps(
-                    {
-                        "type": "header",
-                        "version": FORMAT_VERSION,
-                        "tools": list(self.tools),
-                    }
-                )
-                + "\n"
-            )
-        with open(self.path, "a") as handle:
-            handle.write(header + record + "\n")
-            handle.flush()
+        self._log.append(result_to_dict(index, result))
 
-    def _cut_torn_tail(self) -> None:
-        """Drop an unterminated last line (a write torn by a kill),
-        which ``load()`` skipped, so the next record starts its own
-        line."""
-        if not self.path.exists():
-            return
-        with open(self.path, "rb+") as handle:
-            data = handle.read()
-            if data and not data.endswith(b"\n"):
-                handle.truncate(data.rfind(b"\n") + 1)
-
-    def _check_header(self, doc: dict) -> None:
-        version = doc.get("version")
-        if version != FORMAT_VERSION:
-            raise CheckpointError(
-                f"{self.path}: unsupported journal version {version!r}"
-            )
-        journal_tools = tuple(doc.get("tools", ()))
-        if journal_tools != self.tools:
-            raise CheckpointError(
-                f"{self.path}: journal was written for tools "
-                f"{journal_tools}, this run uses {self.tools}"
-            )
+    def close(self) -> None:
+        self._log.close()

@@ -415,7 +415,7 @@ def run_corpus(
 
     # The close() in the finally is the backstop that keeps worker
     # processes from outliving the run when a batch raises or SIGINT
-    # unwinds the engine.
+    # unwinds the engine; it also releases the journal's handle.
     try:
         run_stream(
             _ClosedSource(pending, deliver),
@@ -429,6 +429,8 @@ def run_corpus(
         out.cache_stats = backend.finish(cache_dir)
     finally:
         backend.close()
+        if journal is not None:
+            journal.close()
     if rcache is not None:
         rcache.flush()
         out.cache_stats["results"] = rcache.stats.as_dict()

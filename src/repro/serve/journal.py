@@ -19,40 +19,34 @@ Format — JSONL, one record per line::
     {"type": "result", "id": ..., "state": "completed", "dedup":
      false, "attempts": 1, "result": {...}}
 
-Durability and recovery discipline:
-
-* every append is flushed **and fsynced** (configurable off for
-  tests/benchmarks) — the ack the client saw is on disk;
-* appends are self-healing: if the previous write was torn (a crash —
-  or an injected ``partial-write`` fault — left no trailing newline),
-  the next append starts with a newline so one torn record never
-  corrupts its successor;
-* ``load()`` is *lenient*, unlike the checkpoint journal's strict
-  reader: a corrupt line anywhere is counted and skipped, because in
-  a WAL a torn record is an expected crash artifact, not an integrity
-  failure.  A torn ``job`` record simply means that submission was
-  never acknowledged; a ``result`` without a surviving ``job`` record
-  is still adopted as terminal (the result embeds everything needed).
+The framing is :class:`~repro.eval.journal.AppendLog`'s, shared with
+the checkpoint: every append is fsynced (the ack the client saw is on
+disk); a header for another tool set or version — a daemon restarted
+with a different ``--include`` — stops the daemon with
+:class:`~repro.eval.journal.JournalError` rather than adopting another
+configuration's results; and the append after a torn tail (a crash, or
+an injected ``partial-write`` fault) cuts it and leaves a ``torn``
+marker line.  ``load()`` is *lenient*, unlike the checkpoint's strict
+reader: the torn tail, a marker, or any line that does not decode (bad
+JSON or bad UTF-8) is counted in ``corrupt`` and skipped — in a WAL a
+torn record is an expected crash artifact, not an integrity failure.
+A torn ``job`` record means that submission was never acknowledged; a
+``result`` without a surviving ``job`` record is still adopted as
+terminal (the result embeds everything needed).
 """
 
 from __future__ import annotations
 
-import json
-import os
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import TYPE_CHECKING
 
+from ..apk.package import Apk
+from ..apk.serialization import apk_to_dict
 from ..eval.checkpoint import result_from_dict, result_to_dict
+from ..eval.journal import AppendLog
 from .jobs import Job, JobState
 
-if TYPE_CHECKING:  # pragma: no cover — import cycle guard
-    from ..apk.package import Apk
-    from ..eval.runner import AppResult
-
-__all__ = ["ServeJournal", "ServeRecovery", "RecoveredJob", "FORMAT_VERSION"]
-
-FORMAT_VERSION = 1
+__all__ = ["ServeJournal", "ServeRecovery", "RecoveredJob"]
 
 
 @dataclass
@@ -97,62 +91,15 @@ class ServeRecovery:
 class ServeJournal:
     """Append-only WAL for one daemon (crosses restarts)."""
 
-    def __init__(
-        self,
-        path: str | Path,
-        *,
-        tools: tuple[str, ...],
-        fsync: bool = True,
-    ) -> None:
-        self.path = Path(path)
-        self.tools = tuple(tools)
-        self.fsync = fsync
-        self._handle = None
-        #: The previous append was deliberately torn (fault injection)
-        #: or the tail byte on open was not a newline.
-        self._dirty_tail = False
+    def __init__(self, path: str | Path, *, tools: tuple[str, ...]) -> None:
+        self._log = AppendLog(path, tools=tools, kind="serve")
 
     # -- writing -------------------------------------------------------
-
-    def _open(self):
-        if self._handle is None:
-            fresh = (
-                not self.path.exists()
-                or self.path.stat().st_size == 0
-            )
-            self._handle = open(self.path, "ab")
-            if fresh:
-                self._write_line(
-                    json.dumps(
-                        {
-                            "type": "header",
-                            "version": FORMAT_VERSION,
-                            "kind": "serve",
-                            "tools": list(self.tools),
-                        }
-                    )
-                )
-            else:
-                # Crash-recovery tail check: a previous torn write
-                # must not glue itself onto our first record.
-                with open(self.path, "rb") as probe:
-                    probe.seek(-1, os.SEEK_END)
-                    self._dirty_tail = probe.read(1) != b"\n"
-        return self._handle
-
-    def _write_line(self, text: str) -> None:
-        handle = self._open()
-        prefix = "\n" if self._dirty_tail else ""
-        handle.write((prefix + text + "\n").encode())
-        self._dirty_tail = False
-        handle.flush()
-        if self.fsync:
-            os.fsync(handle.fileno())
 
     def append_job(
         self,
         job: Job,
-        apk: "Apk",
+        apk: Apk,
         truth_doc: dict | None = None,
         *,
         tear: bool = False,
@@ -160,14 +107,12 @@ class ServeJournal:
         """Write-ahead record one admitted job (call BEFORE acking).
 
         ``tear=True`` injects a partial write — half the record, no
-        newline, flushed — modelling a crash mid-append; the journal
-        stays usable (the next append self-heals, ``load()`` skips the
-        torn line) and the caller should re-append.  Returns whether a
+        newline, fsynced — modelling a crash mid-append; the journal
+        stays usable (the next append repairs the tail, ``load()``
+        counts it) and the caller should re-append.  Returns whether a
         complete record landed.
         """
-        from ..apk.serialization import apk_to_dict
-
-        record = json.dumps(
+        self._log.append(
             {
                 "type": "job",
                 "id": job.id,
@@ -177,73 +122,47 @@ class ServeJournal:
                 "submittedAt": job.submitted_at,
                 "apk": apk_to_dict(apk),
                 "truth": truth_doc,
-            }
+            },
+            tear=tear,
         )
-        if tear:
-            handle = self._open()
-            prefix = "\n" if self._dirty_tail else ""
-            handle.write((prefix + record[: len(record) // 2]).encode())
-            handle.flush()
-            if self.fsync:
-                os.fsync(handle.fileno())
-            self._dirty_tail = True
-            return False
-        self._write_line(record)
-        return True
+        return not tear
 
     def append_result(self, job: Job) -> None:
         """Durably record one terminal state (completed/quarantined)."""
         if job.result is None:  # pragma: no cover — caller invariant
             raise ValueError(f"{job.id}: terminal record without result")
-        self._write_line(
-            json.dumps(
-                {
-                    "type": "result",
-                    "id": job.id,
-                    "seq": job.seq,
-                    "state": job.state.value,
-                    "dedup": job.dedup,
-                    "attempts": job.attempts,
-                    "finishedAt": job.finished_at,
-                    "result": result_to_dict(job.seq, job.result),
-                }
-            )
+        self._log.append(
+            {
+                "type": "result",
+                "id": job.id,
+                "seq": job.seq,
+                "state": job.state.value,
+                "dedup": job.dedup,
+                "attempts": job.attempts,
+                "finishedAt": job.finished_at,
+                "result": result_to_dict(job.seq, job.result),
+            }
         )
 
-    def flush(self) -> None:
-        if self._handle is not None:
-            self._handle.flush()
-            if self.fsync:
-                os.fsync(self._handle.fileno())
-
     def close(self) -> None:
-        if self._handle is not None:
-            self.flush()
-            self._handle.close()
-            self._handle = None
+        self._log.close()
 
     # -- recovery ------------------------------------------------------
 
     def load(self) -> ServeRecovery:
         """Replay the WAL (lenient: torn lines are counted, skipped)."""
-        recovery = ServeRecovery()
-        if not self.path.exists():
-            return recovery
-        for line in self.path.read_text().splitlines():
-            if not line.strip():
-                continue
-            try:
-                doc = json.loads(line)
-            except json.JSONDecodeError:
-                recovery.corrupt += 1
-                continue
+        records, bad, torn = self._log.read()
+        recovery = ServeRecovery(corrupt=len(bad) + (torn > 0))
+        for doc in records:
             kind = doc.get("type")
             try:
                 if kind == "job":
                     self._replay_job(recovery, doc)
                 elif kind == "result":
                     self._replay_result(recovery, doc)
-                # headers (and unknown future kinds) are skipped.
+                elif kind == "torn":
+                    recovery.corrupt += 1
+                # unknown future kinds are skipped.
             except Exception:  # noqa: BLE001 — damaged record == torn
                 recovery.corrupt += 1
         return recovery

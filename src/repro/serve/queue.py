@@ -310,8 +310,8 @@ class JobQueue(JobSource):
         )
         if tear:
             # Injected torn append, then an immediate re-append: the
-            # ack stays truthful, and the torn line stays in the WAL
-            # for load() to count as a crash artifact.
+            # ack stays truthful, and the re-append's repair leaves a
+            # torn marker in the WAL for load() to count.
             self.counters["torn_writes"] += 1
             self._journal.append_job(job, forged.apk, truth_doc, tear=True)
         self._journal.append_job(job, forged.apk, truth_doc)
@@ -402,17 +402,6 @@ class JobQueue(JobSource):
                 if remaining <= 0:
                     return job
                 self._cond.wait(remaining)
-
-    def wait_idle(self, timeout_s: float = 30.0) -> bool:
-        """Block until nothing is queued or running."""
-        deadline = time.monotonic() + timeout_s
-        with self._cond:
-            while self._ready or self._running:
-                remaining = deadline - time.monotonic()
-                if remaining <= 0:
-                    return False
-                self._cond.wait(remaining)
-            return True
 
     def depth_locked(self) -> int:
         return len(self._ready) + self._running

@@ -17,8 +17,8 @@ serve`` — tests and benchmarks drive it in-process, the HTTP layer
 
 ``drain()``
     the graceful-shutdown path (SIGTERM): stop admitting, let the
-    dispatcher finish every in-flight job, stop the workers, flush
-    journal and cache.  Idempotent —
+    dispatcher finish every in-flight job, stop the workers, close
+    the journal and flush the cache.  Idempotent —
     a second SIGTERM mid-drain is absorbed, not amplified.
 
 ``health()`` / ``ready()``
@@ -79,7 +79,8 @@ class ServeConfig:
     #: Persistent cache directory (snapshots + cross-restart dedup);
     #: ``None`` disables both.
     cache_dir: str | None = None
-    #: Write-ahead journal path (fsynced on every append); ``None``
+    #: Write-ahead journal path (fsynced on every append; a journal
+    #: written for other tools is refused at start); ``None``
     #: disables crash recovery.
     journal: str | None = None
     #: Admission-queue capacity (queued + running).
@@ -162,13 +163,12 @@ class AnalysisService:
             dedup=config.dedup,
             cache_dir=config.cache_dir,
         )
+        recovery = None
         if config.journal is not None:
             self.journal = ServeJournal(
                 config.journal, tools=toolset.tool_names
             )
-        recovery = (
-            self.journal.load() if self.journal is not None else None
-        )
+            recovery = self.journal.load()
         if config.cache_dir is not None:
             from ..cache.results import ResultCache
 

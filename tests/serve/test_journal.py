@@ -18,7 +18,7 @@ def _job(seq: int, app: str = "app") -> Job:
 
 
 def _journal(tmp_path, name="wal.jsonl") -> ServeJournal:
-    return ServeJournal(tmp_path / name, tools=TOOLS, fsync=False)
+    return ServeJournal(tmp_path / name, tools=TOOLS)
 
 
 def _clean_result(app: str = "app"):

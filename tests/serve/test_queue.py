@@ -153,7 +153,7 @@ class TestStreamFaults:
             }
         )
         journal = ServeJournal(
-            tmp_path / "wal.jsonl", tools=("SAINTDroid",), fsync=False
+            tmp_path / "wal.jsonl", tools=("SAINTDroid",)
         )
         queue = JobQueue(journal=journal, fault_plan=plan)
         job = queue.submit(serve_apk_doc("tear"))

@@ -183,6 +183,25 @@ class TestRecovery:
         fresh = second.submit(serve_apk_doc("fresh"))
         assert fresh.seq > 99
 
+    def test_restart_with_other_tools_refuses_the_journal(
+        self, make_service, tmp_path
+    ):
+        """A daemon restarted with a different ``--include`` must not
+        adopt results its journal holds for another tool set."""
+        from repro.eval import CheckpointError
+        from repro.serve.jobs import Job
+        from repro.serve.journal import ServeJournal
+
+        wal = str(tmp_path / "other-tools.jsonl")
+        journal = ServeJournal(wal, tools=("SAINTDroid", "CID"))
+        journal.append_job(
+            Job(id="job-other", seq=0, app="other", fingerprint=None),
+            serve_apk("other"),
+        )
+        journal.close()
+        with pytest.raises(CheckpointError, match="written for tools"):
+            make_service(journal=wal)
+
 
 class TestStatsz:
     def test_statsz_reports_cumulative_cache_counters(

@@ -180,6 +180,19 @@ class TestCliErrorHandling:
         assert main(["analyze", str(bad)]) == 1
         assert "not a valid .sapk" in capsys.readouterr().err
 
+    def test_corrupt_checkpoint_is_an_error_not_a_traceback(
+        self, tmp_path, capsys
+    ):
+        bad = tmp_path / "bad.jsonl"
+        bad.write_text("{not json\n{}\n")
+        assert main([
+            "difftest", "--n-apps", "2", "--no-shrink", "--no-mutation",
+            "--checkpoint", str(bad),
+        ]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ")
+        assert "corrupt journal line 1" in err
+
 
 class TestPassesCommand:
     def test_lists_every_tool(self, capsys):
