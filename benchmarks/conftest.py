@@ -1,72 +1,22 @@
-"""Shared fixtures for the experiment benchmarks.
+"""Shared fixtures for the benchmarks.
 
-Heavy computation (benchmark-suite run, corpus run) happens once per
-session; individual benchmarks then time representative per-app
-operations and assert the paper-shape properties on the shared
-results.
-
-Environment knobs:
-
-* ``REPRO_CORPUS_SIZE``   — corpus sample size (default 150; the paper
-  uses 3,571 — set it for a full-scale run).
-* ``REPRO_BENCH_SCALE``   — benchmark-app filler scale (default 1.0).
+The paper-anchor tests assert on the data of :mod:`repro.eval.results`
+(the one producer of every committed result) through one session, so
+the benchmark suite and the corpus sample are analyzed once.  The
+``BENCH_*`` harnesses publish their measurements under ``RESULTS_DIR``.
 """
 
 from __future__ import annotations
 
-import os
 from pathlib import Path
 
 import pytest
 
-from repro.eval.runner import RunResults, ToolSet, run_tools
-from repro.workload.benchsuite import build_benchmark_suite
-from repro.workload.corpus import CorpusConfig, generate_corpus
+from repro.eval.results import Session
 
 RESULTS_DIR = Path(__file__).parent / "results"
 
-CORPUS_SIZE = int(os.environ.get("REPRO_CORPUS_SIZE", "150"))
-BENCH_SCALE = float(os.environ.get("REPRO_BENCH_SCALE", "1.0"))
-
-
-def write_result(name: str, text: str) -> None:
-    """Persist a rendered table/figure for EXPERIMENTS.md."""
-    RESULTS_DIR.mkdir(exist_ok=True)
-    (RESULTS_DIR / name).write_text(text + "\n")
-    print()
-    print(text)
-
 
 @pytest.fixture(scope="session")
-def toolset() -> ToolSet:
-    return ToolSet.default()
-
-
-@pytest.fixture(scope="session")
-def bench_apps(toolset):
-    """The 19 benchmark replicas (paper sizes by default)."""
-    return build_benchmark_suite(toolset.apidb, scale=BENCH_SCALE)
-
-
-@pytest.fixture(scope="session")
-def bench_run(toolset, bench_apps) -> RunResults:
-    """Every tool over every benchmark app."""
-    return run_tools(bench_apps, toolset)
-
-
-@pytest.fixture(scope="session")
-def corpus_apps(toolset):
-    """The calibrated real-world corpus sample."""
-    config = CorpusConfig(count=CORPUS_SIZE)
-    return list(generate_corpus(config, toolset.apidb))
-
-
-@pytest.fixture(scope="session")
-def corpus_run(toolset, corpus_apps) -> RunResults:
-    """SAINTDroid, CID, and Lint over the corpus (the real-world
-    performance comparison of Figures 3 and 4)."""
-    tools = ToolSet.default(
-        toolset.framework, toolset.apidb,
-        include=("SAINTDroid", "CID", "Lint"),
-    )
-    return run_tools([entry.forged for entry in corpus_apps], tools)
+def session() -> Session:
+    return Session()

@@ -2,7 +2,7 @@
 
 The paper proposes dynamic verification of static findings and a
 repair synthesizer as future work; both are implemented here.  The
-benchmark quantifies them on the CIDER-Bench replicas:
+tests check them on the CIDER-Bench replicas:
 
 * dynamic verification refutes the anonymous-guard false alarms and
   confirms the true crashes, lifting the API-kind precision of the
@@ -11,59 +11,11 @@ benchmark quantifies them on the CIDER-Bench replicas:
   repaired apps re-analyze clean except for callback advisories.
 """
 
-import pytest
-
-from repro.dynamic.verifier import DynamicVerifier
-from repro.eval.accuracy import score_app
 from repro.repair.engine import RepairEngine
 
-from .conftest import write_result
 
-#: Verified on a subset: interpretation is slower than static analysis
-#: (exactly the paper's argument for static-first triage).
-VERIFY_APPS = ("Padland", "FOSS Browser", "SurvivalManual", "Kolab notes",
-               "MaterialFBook", "SimpleSolitaire")
-
-
-@pytest.fixture(scope="module")
-def verified_scores(toolset, bench_apps, bench_run):
-    rows = []
-    for forged in bench_apps:
-        if forged.apk.name not in VERIFY_APPS:
-            continue
-        report = next(
-            r for r in bench_run.results if r.app == forged.apk.name
-        ).reports["SAINTDroid"]
-        verifier = DynamicVerifier(forged.apk, toolset.apidb)
-        result = verifier.verify_all(report)
-
-        static = score_app(report, forged.truth, ("API",))
-        surviving_keys = {
-            m.key for m in result.surviving_mismatches()
-            if m.key[0] == "API"
-        }
-        truth_api = {
-            k for k in forged.truth.issue_keys if k[0] == "API"
-        }
-        combined_tp = len(surviving_keys & truth_api)
-        combined_fp = len(surviving_keys - truth_api)
-        rows.append(
-            {
-                "app": forged.apk.name,
-                "static_tp": static.tp,
-                "static_fp": static.fp,
-                "combined_tp": combined_tp,
-                "combined_fp": combined_fp,
-                "refuted": len(result.refuted),
-            }
-        )
-    return rows
-
-
-def test_dynamic_verification_reaches_full_api_precision(
-    benchmark, verified_scores
-):
-    benchmark(lambda: sum(r["combined_fp"] for r in verified_scores))
+def test_dynamic_verification_reaches_full_api_precision(session):
+    verified_scores = session.result("ablation_dynamic.txt").data
 
     static_fp = sum(r["static_fp"] for r in verified_scores)
     combined_fp = sum(r["combined_fp"] for r in verified_scores)
@@ -74,42 +26,19 @@ def test_dynamic_verification_reaches_full_api_precision(
     assert combined_fp == 0       # …all dynamically refuted
     assert combined_tp == static_tp  # …with zero lost true positives
 
-    lines = [
-        "Ablation: static-only vs static+dynamic (API kind)",
-        f"{'app':<18}{'static tp/fp':>14}{'combined tp/fp':>17}"
-        f"{'refuted':>9}",
-    ]
-    for row in verified_scores:
-        static_cell = f"{row['static_tp']}/{row['static_fp']}"
-        combined_cell = f"{row['combined_tp']}/{row['combined_fp']}"
-        lines.append(
-            f"{row['app']:<18}{static_cell:>14}{combined_cell:>17}"
-            f"{row['refuted']:>9}"
-        )
-    lines.append(
-        f"API precision: static "
-        f"{static_tp / (static_tp + static_fp):.2f} -> combined 1.00"
+
+def test_repair_eliminates_every_repairable_finding(session):
+    detector = session.saintdroid()
+    engine = RepairEngine(session.apidb)
+    target = next(
+        a for a in session.bench_apps if a.apk.name == "Kolab notes"
     )
-    write_result("ablation_dynamic.txt", "\n".join(lines))
-
-
-def test_repair_eliminates_every_repairable_finding(
-    benchmark, toolset, bench_apps, bench_run
-):
-    from repro.core import SaintDroid
-
-    detector = SaintDroid(toolset.framework, toolset.apidb)
-    engine = RepairEngine(toolset.apidb)
-    target = next(a for a in bench_apps if a.apk.name == "Kolab notes")
     report = next(
-        r for r in bench_run.results if r.app == "Kolab notes"
+        r for r in session.bench_run.results if r.app == "Kolab notes"
     ).reports["SAINTDroid"]
 
-    def repair_once():
-        result = engine.repair(target.apk, report.mismatches)
-        return detector.analyze(result.repaired).mismatches
-
-    residual = benchmark.pedantic(repair_once, rounds=1, iterations=1)
+    result = engine.repair(target.apk, report.mismatches)
+    residual = detector.analyze(result.repaired).mismatches
     # Everything except callback advisories (and the anonymous-guard
     # blind-spot findings, which repair *also* guards — making them
     # disappear) is gone.

@@ -11,18 +11,15 @@ Paper anchors:
 
 import pytest
 
-from repro.eval.figures import ascii_scatter, figure3_series
-
-from .conftest import write_result
+from repro.workload.appgen import AppForge
 
 
 @pytest.fixture(scope="module")
-def data(corpus_run):
-    return figure3_series(corpus_run)
+def data(session):
+    return session.result("figure3.txt").data
 
 
-def test_figure3_timing_summaries(benchmark, corpus_run, data):
-    benchmark(figure3_series, corpus_run)
+def test_figure3_timing_summaries(data):
     tools = {s.tool: s for s in data["summaries"]}
 
     saint = tools["SAINTDroid"]
@@ -38,24 +35,9 @@ def test_figure3_timing_summaries(benchmark, corpus_run, data):
     assert cid.average / saint.average >= 3.0
     assert lint.average / saint.average >= 2.0
 
-    from repro.eval.export import export_timing_csv
-    from .conftest import RESULTS_DIR
-    RESULTS_DIR.mkdir(exist_ok=True)
-    export_timing_csv(corpus_run, RESULTS_DIR / "figure3_series.csv")
 
-    lines = ["Figure 3: SAINTDroid analysis time vs app size (KLOC)",
-             ascii_scatter(data["scatter"])]
-    for summary in data["summaries"]:
-        lines.append(
-            f"{summary.tool}: avg {summary.average:.1f}s "
-            f"range {summary.minimum:.1f}-{summary.maximum:.1f} "
-            f"({summary.completed} completed, {summary.failed} failed)"
-        )
-    write_result("figure3.txt", "\n".join(lines))
-
-
-def test_figure3_scatter_correlates_with_size(benchmark, data):
-    scatter = benchmark(lambda: data["scatter"])
+def test_figure3_scatter_correlates_with_size(data):
+    scatter = data["scatter"]
     assert len(scatter) >= 50
     small = [s for k, s in scatter if k < 5.0]
     large = [s for k, s in scatter if k > 30.0]
@@ -63,18 +45,15 @@ def test_figure3_scatter_correlates_with_size(benchmark, data):
         assert (sum(large) / len(large)) > (sum(small) / len(small))
 
 
-def test_figure3_outlier_mechanism(benchmark, toolset, picker_pool=None):
+def test_figure3_outlier_mechanism(session):
     """A small app with a huge framework vocabulary costs more than a
     plain app of the same size — the paper's top-left outlier."""
-    from repro.workload.appgen import AppForge
-
-    apidb = toolset.apidb
 
     def build(pool_size):
         forge = AppForge(
             "com.outlier.app", f"Outlier{pool_size}",
             min_sdk=19, target_sdk=26, seed=11,
-            apidb=apidb,
+            apidb=session.apidb,
         )
         forge._safe_pool = [
             forge.picker.safe_api(forge._rng) for _ in range(pool_size)
@@ -82,11 +61,9 @@ def test_figure3_outlier_mechanism(benchmark, toolset, picker_pool=None):
         forge.add_filler(kloc=2.0)
         return forge.build().apk
 
-    saintdroid = toolset.tools[0]
+    saintdroid = session.saintdroid()
     plain = saintdroid.analyze(build(10))
-    heavy = benchmark.pedantic(
-        lambda: saintdroid.analyze(build(400)), rounds=1, iterations=1
-    )
+    heavy = saintdroid.analyze(build(400))
     assert heavy.metrics.modeled_seconds > (
         1.5 * plain.metrics.modeled_seconds
     )

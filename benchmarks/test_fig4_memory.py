@@ -11,18 +11,13 @@ Paper anchors:
 
 import pytest
 
-from repro.eval.figures import figure4_series
-
-from .conftest import write_result
-
 
 @pytest.fixture(scope="module")
-def data(corpus_run):
-    return figure4_series(corpus_run)
+def data(session):
+    return session.result("figure4.txt").data
 
 
-def test_figure4_memory_comparison(benchmark, corpus_run, data):
-    benchmark(figure4_series, corpus_run)
+def test_figure4_memory_comparison(data):
     saint = data["summary"]["SAINTDroid"]
     cid = data["summary"]["CID"]
 
@@ -33,23 +28,8 @@ def test_figure4_memory_comparison(benchmark, corpus_run, data):
     ratio = cid["average_mb"] / saint["average_mb"]
     assert 2.0 <= ratio <= 6.0                     # paper: ~4x
 
-    from repro.eval.export import export_memory_csv
-    from .conftest import RESULTS_DIR
-    RESULTS_DIR.mkdir(exist_ok=True)
-    export_memory_csv(corpus_run, RESULTS_DIR / "figure4_series.csv")
 
-    lines = [
-        "Figure 4: peak analysis memory on real-world apps (modeled MB)",
-        f"  SAINTDroid: avg {saint['average_mb']:.0f} "
-        f"range {saint['min_mb']:.0f}-{saint['max_mb']:.0f}",
-        f"  CID:        avg {cid['average_mb']:.0f} "
-        f"range {cid['min_mb']:.0f}-{cid['max_mb']:.0f}",
-        f"  ratio: {ratio:.1f}x",
-    ]
-    write_result("figure4.txt", "\n".join(lines))
-
-
-def test_figure4_per_app_ordering(benchmark, data):
-    series = benchmark(lambda: data["series"])
+def test_figure4_per_app_ordering(data):
+    series = data["series"]
     pairs = zip(series["SAINTDroid"], series["CID"])
     assert all(saint < cid for saint, cid in pairs)

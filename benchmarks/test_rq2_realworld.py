@@ -1,8 +1,8 @@
 """E2 — RQ2: real-world applicability over the calibrated corpus.
 
-Paper anchors (3,571 apps; we default to a 150-app sample — rates, not
-totals, are the reproduction target; set REPRO_CORPUS_SIZE=3571 for a
-full-scale run):
+Paper anchors (3,571 apps; ``rq2.txt`` is a 150-app sample — rates,
+not totals, are the reproduction target; ``saintdroid rq2 --count
+3571`` runs the full scale):
 
 * 41.19% of apps harbor ≥1 API invocation mismatch (68,268 total →
   ≈19 reports per app on average);
@@ -14,27 +14,13 @@ full-scale run):
 
 import pytest
 
-from repro.eval.tables import render_rq2, rq2_summary
-
-from .conftest import write_result
-
 
 @pytest.fixture(scope="module")
-def summary(corpus_run, corpus_apps):
-    modern = {
-        entry.forged.apk.name: entry.modern_target
-        for entry in corpus_apps
-    }
-    results = [
-        (result.reports["SAINTDroid"], result.truth, modern[result.app])
-        for result in corpus_run.results
-    ]
-    return rq2_summary(results)
+def summary(session):
+    return session.result("rq2.txt").data
 
 
-def test_rq2_population_rates(benchmark, summary):
-    benchmark(lambda: summary["api_total"])
-
+def test_rq2_population_rates(summary):
     assert 30.0 <= summary["api_apps_pct"] <= 55.0     # paper: 41.19%
     assert 12.0 <= summary["apc_apps_pct"] <= 30.0     # paper: 20.05%
     assert 5.0 <= summary["request_pct"] <= 25.0       # paper: 12.34%
@@ -44,22 +30,19 @@ def test_rq2_population_rates(benchmark, summary):
     per_app = summary["api_total"] / summary["total_apps"]
     assert 10.0 <= per_app <= 35.0
 
-    write_result("rq2.txt", render_rq2(summary))
 
-
-def test_rq2_sampled_precision(benchmark, summary):
-    benchmark(lambda: summary["sampled_precision_api"])
+def test_rq2_sampled_precision(summary):
     assert 0.75 <= summary["sampled_precision_api"] <= 0.95  # paper: 85%
     assert summary["sampled_precision_apc"] >= 0.97          # paper: 100%
     assert summary["sampled_precision_prm"] >= 0.97          # paper: 100%
 
 
-def test_rq2_single_app_analysis_cost(benchmark, toolset, corpus_apps):
-    """Per-app wall time of the real implementation on a median-size
-    corpus app (the quantity pytest-benchmark is best at)."""
-    saintdroid = toolset.tools[0]
+def test_rq2_single_app_analysis_cost(session):
+    """The real implementation analyzes a median-size corpus app
+    cleanly."""
+    corpus = session.corpus
     mid = sorted(
-        corpus_apps, key=lambda e: e.forged.apk.instruction_count
-    )[len(corpus_apps) // 2]
-    report = benchmark(saintdroid.analyze, mid.forged.apk)
+        corpus, key=lambda e: e.forged.apk.instruction_count
+    )[len(corpus) // 2]
+    report = session.saintdroid().analyze(mid.forged.apk)
     assert report.metrics is not None and not report.metrics.failed

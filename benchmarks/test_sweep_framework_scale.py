@@ -13,19 +13,11 @@ Expected shape (asserted):
 * the CID/SAINTDroid memory ratio *widens* monotonically with scale.
 """
 
-from repro.eval.sweep import sweep_framework_scale
-
-from .conftest import write_result
-
 SIZES = (500, 1000, 2000, 4000)
 
 
-def test_framework_scale_sweep(benchmark):
-    points = benchmark.pedantic(
-        lambda: sweep_framework_scale(SIZES, probes_per_point=2),
-        rounds=1,
-        iterations=1,
-    )
+def test_framework_scale_sweep(session):
+    points = session.result("sweep_framework_scale.txt").data
     assert [p.bulk_classes for p in points] == list(SIZES)
 
     # CID memory tracks the framework size.
@@ -43,20 +35,3 @@ def test_framework_scale_sweep(benchmark):
     ratios = [p.memory_ratio for p in points]
     assert all(b > a for a, b in zip(ratios, ratios[1:]))
     assert ratios[-1] > 2.0 * ratios[0]
-
-    lines = [
-        "Sweep: tool cost vs framework size (avg over probe apps)",
-        f"{'bulk':>6}{'fw@26':>8}{'SAINT MB':>10}{'SAINT cls':>11}"
-        f"{'CID MB':>9}{'mem ratio':>11}{'time ratio':>12}",
-    ]
-    for point in points:
-        lines.append(
-            f"{point.bulk_classes:>6}"
-            f"{point.framework_classes_at_26:>8}"
-            f"{point.saintdroid_memory_mb:>10.0f}"
-            f"{point.saintdroid_classes_loaded:>11}"
-            f"{point.cid_memory_mb:>9.0f}"
-            f"{point.memory_ratio:>11.1f}"
-            f"{point.time_ratio:>12.1f}"
-        )
-    write_result("sweep_framework_scale.txt", "\n".join(lines))

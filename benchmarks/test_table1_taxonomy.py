@@ -1,35 +1,23 @@
 """E7 — Table I (mismatch taxonomy) and Figure 1 (mismatch regions).
 
-These are structural artifacts: the benchmark regenerates them and
-times the underlying computation; assertions pin the taxonomy to the
+These are structural artifacts; the assertions pin the taxonomy to the
 paper's three rows and the region split around the app level.
 """
 
 from repro.apk.manifest import MAX_API_LEVEL, MIN_API_LEVEL
-from repro.eval.figures import figure1_regions
-from repro.eval.tables import render_table1, table1_taxonomy
-
-from .conftest import write_result
 
 
-def test_table1_taxonomy(benchmark):
-    rows = benchmark(table1_taxonomy)
+def test_table1_taxonomy(session):
+    rows = session.result("table1.txt").data
     assert [row["abbr"] for row in rows] == ["API", "APC", "PRM"]
     assert "26 dangerous permissions" in rows[2]["results_in"]
-    write_result("table1.txt", render_table1())
 
 
-def test_figure1_regions(benchmark):
+def test_figure1_regions(session):
     app_level = 23
-    regions = benchmark(figure1_regions, app_level)
+    regions = session.result("figure1.txt").data
     backward = [d for d, r in regions.items() if r.startswith("backward")]
     forward = [d for d, r in regions.items() if r.startswith("forward")]
     assert backward == list(range(MIN_API_LEVEL, app_level))
     assert forward == list(range(app_level + 1, MAX_API_LEVEL + 1))
     assert regions[app_level] == "compatible"
-    lines = [f"Figure 1: mismatch regions for app API level {app_level}"]
-    lines.extend(
-        f"  device {device:>2}: {region}"
-        for device, region in regions.items()
-    )
-    write_result("figure1.txt", "\n".join(lines))

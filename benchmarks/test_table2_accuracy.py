@@ -14,22 +14,13 @@ precision/recall/F1 of column one):
 
 import pytest
 
-from repro.eval.tables import render_table2, table2_accuracy
-
-from .conftest import write_result
-
 
 @pytest.fixture(scope="module")
-def table(bench_run):
-    return table2_accuracy(bench_run)
+def table(session):
+    return session.result("table2.txt").data
 
 
-def test_table2_accuracy(benchmark, bench_run, bench_apps, toolset, table):
-    # Benchmark unit: SAINTDroid analyzing one mid-size replica.
-    saintdroid = toolset.tools[0]
-    kolab = next(a.apk for a in bench_apps if a.apk.name == "Kolab notes")
-    benchmark(saintdroid.analyze, kolab)
-
+def test_table2_accuracy(table):
     totals = table.totals
     combined = totals["SAINTDroid"]["API+APC"]
     assert 0.72 <= combined.precision <= 0.88
@@ -53,18 +44,15 @@ def test_table2_accuracy(benchmark, bench_run, bench_apps, toolset, table):
     assert saint_fp < lint_fp
     assert 0.11 <= 1 - saint_fp / cid_fp <= 0.60
 
-    write_result("table2.txt", render_table2(table))
 
-
-def test_saintdroid_beats_every_tool_on_f1(benchmark, table):
-    benchmark(lambda: table.totals["SAINTDroid"]["API+APC"].f1)
+def test_saintdroid_beats_every_tool_on_f1(table):
     best = table.totals["SAINTDroid"]["API+APC"].f1
     for tool in ("CID", "CIDER", "Lint"):
         assert table.totals[tool]["API+APC"].f1 < best
 
 
-def test_prm_detection_is_unique_to_saintdroid(benchmark, bench_run):
-    accuracies = benchmark(bench_run.accuracies)
+def test_prm_detection_is_unique_to_saintdroid(session):
+    accuracies = session.bench_run.accuracies()
     assert accuracies["SAINTDroid"].group("PRM").tp >= 3
     assert accuracies["SAINTDroid"].group("PRM").fp == 0
     for tool in ("CID", "CIDER", "Lint"):

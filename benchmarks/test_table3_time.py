@@ -14,22 +14,13 @@ Paper anchors asserted:
 
 import pytest
 
-from repro.eval.tables import render_table3, table3_times
-from repro.workload.benchsuite import CIDER_BENCH
-
-from .conftest import write_result
-
-LABELS = tuple(spec.label for spec in CIDER_BENCH)
-
 
 @pytest.fixture(scope="module")
-def rows(bench_run):
-    return table3_times(bench_run, apps=LABELS)
+def rows(session):
+    return session.result("table3.txt").data
 
 
-def test_table3_times(benchmark, bench_run, rows):
-    benchmark(table3_times, bench_run, apps=LABELS)
-
+def test_table3_times(rows):
     by_app = {row["app"]: row for row in rows}
 
     # CID dashes: the three multidex apps.
@@ -46,39 +37,30 @@ def test_table3_times(benchmark, bench_run, rows):
             if row[tool] is not None:
                 assert saint < row[tool], (row["app"], tool)
 
-    write_result("table3.txt", render_table3(rows))
 
-
-def test_average_speedup_band(benchmark, rows):
-    def speedups():
-        out = {}
-        for tool in ("CID", "Lint"):
-            ratios = [
-                row[tool] / row["SAINTDroid"]
-                for row in rows
-                if row[tool] is not None
-            ]
-            out[tool] = sum(ratios) / len(ratios)
-        return out
-
-    averages = benchmark(speedups)
+def test_average_speedup_band(rows):
+    averages = {}
+    for tool in ("CID", "Lint"):
+        ratios = [
+            row[tool] / row["SAINTDroid"]
+            for row in rows
+            if row[tool] is not None
+        ]
+        averages[tool] = sum(ratios) / len(ratios)
     # Paper: four times faster on average, up to 8.3x.
     assert 2.5 <= averages["CID"] <= 9.0
     assert 2.5 <= averages["Lint"] <= 9.0
 
 
-def test_timing_protocol_three_repetitions(benchmark, toolset, bench_apps):
+def test_timing_protocol_three_repetitions(session):
     """The paper's RQ3 protocol: three repeated measurements, averaged.
-    The modeled time is deterministic; the repetitions exercise wall
-    time stability of our implementation."""
-    saintdroid = toolset.tools[0]
-    app = next(a.apk for a in bench_apps if a.apk.name == "Padland")
-
-    def three_runs():
-        reports = [saintdroid.analyze(app) for _ in range(3)]
-        seconds = [r.metrics.modeled_seconds for r in reports]
-        assert max(seconds) - min(seconds) < 1e-9  # deterministic model
-        return sum(seconds) / 3
-
-    average = benchmark.pedantic(three_runs, rounds=1, iterations=1)
+    The modeled time is deterministic across the repetitions."""
+    saintdroid = session.saintdroid()
+    app = next(
+        a.apk for a in session.bench_apps if a.apk.name == "Padland"
+    )
+    reports = [saintdroid.analyze(app) for _ in range(3)]
+    seconds = [r.metrics.modeled_seconds for r in reports]
+    assert max(seconds) - min(seconds) < 1e-9  # deterministic model
+    average = sum(seconds) / 3
     assert average > 0

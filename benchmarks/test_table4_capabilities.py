@@ -7,13 +7,10 @@ against observed behaviour on the benchmark run.
 """
 
 from repro.core.kinds import kind_families
-from repro.eval.tables import render_table4, table4_capabilities
-
-from .conftest import write_result
 
 
-def test_table4_capabilities(benchmark, toolset, bench_run):
-    rows = benchmark(table4_capabilities, toolset.tools)
+def test_table4_capabilities(session):
+    rows = session.result("table4.txt").data
     by_tool = {row["tool"]: row for row in rows}
 
     assert by_tool["SAINTDroid"] == {
@@ -37,7 +34,7 @@ def test_table4_capabilities(benchmark, toolset, bench_run):
     # replicas seed no semantic scenarios, so SEM is asserted only in
     # the negative direction: a tool without the capability must never
     # report the family.)
-    accuracies = bench_run.accuracies()
+    accuracies = session.bench_run.accuracies()
     for row in rows:
         for family in kind_families():
             reported = accuracies[row["tool"]].group(family).reported
@@ -46,5 +43,3 @@ def test_table4_capabilities(benchmark, toolset, bench_run):
     assert accuracies["SAINTDroid"].group("API").reported > 0
     assert accuracies["SAINTDroid"].group("APC").reported > 0
     assert accuracies["SAINTDroid"].group("PRM").reported > 0
-
-    write_result("table4.txt", render_table4(rows))

@@ -42,10 +42,9 @@ import time
 from dataclasses import dataclass
 from pathlib import Path
 
-from ..core.apidb import ApiDatabase
 from ..framework.repository import FrameworkRepository
 from ..ir.types import ClassName
-from .clvm import DEFAULT_FRAMEWORK_DEPTH, prepared_effects, resolve_call
+from .clvm import prepared_effects, resolve_call
 from .hierarchy import HierarchyResolver
 
 __all__ = [
@@ -102,14 +101,10 @@ class FrameworkSummaryTable:
     def __init__(
         self,
         framework: FrameworkRepository,
-        apidb: ApiDatabase,
         *,
-        max_depth: int | None = DEFAULT_FRAMEWORK_DEPTH,
         store_dir: str | Path | None = None,
     ) -> None:
-        # ``apidb`` is unused: effects depend on the framework alone.
         self._framework = framework
-        self._max_depth = max_depth
         self._store_dir = (
             Path(store_dir) if store_dir is not None else None
         )
@@ -119,10 +114,6 @@ class FrameworkSummaryTable:
     @property
     def framework(self) -> FrameworkRepository:
         return self._framework
-
-    @property
-    def max_depth(self) -> int | None:
-        return self._max_depth
 
     @property
     def store_dir(self) -> Path | None:
@@ -193,14 +184,7 @@ class FrameworkSummaryTable:
         from ..cache.fingerprint import fingerprint_spec
 
         key = fingerprint_spec(self._framework.spec)
-        depth = (
-            "all" if self._max_depth is None else str(self._max_depth)
-        )
-        return (
-            self._store_dir
-            / "summaries"
-            / f"{key}-L{level}-d{depth}.summ"
-        )
+        return self._store_dir / "summaries" / f"{key}-L{level}.summ"
 
     def _store(self, level: int, table: dict) -> None:
         path = self._path(level)
@@ -213,7 +197,6 @@ class FrameworkSummaryTable:
             {
                 "version": SUMMARY_SCHEMA_VERSION,
                 "level": level,
-                "max_depth": self._max_depth,
                 "classes": table,
             },
         )
@@ -239,7 +222,6 @@ class FrameworkSummaryTable:
             not isinstance(doc, dict)
             or doc.get("version") != SUMMARY_SCHEMA_VERSION
             or doc.get("level") != level
-            or doc.get("max_depth") != self._max_depth
             or not isinstance(doc.get("classes"), dict)
         ):
             return None
@@ -261,33 +243,27 @@ class FrameworkSummaryTable:
 
 # -- in-process registry (fork-shared, like the API database) --------------
 
-_TABLES: dict[tuple[int, int | None], FrameworkSummaryTable] = {}
+_TABLES: dict[int, FrameworkSummaryTable] = {}
 
 
 def summary_table(
     framework: FrameworkRepository,
-    apidb: ApiDatabase,
     *,
-    max_depth: int | None = DEFAULT_FRAMEWORK_DEPTH,
     store_dir: str | Path | None = None,
 ) -> FrameworkSummaryTable:
     """The shared summary table for ``framework``'s spec, creating it
     on first request.  Keyed by spec identity so forked pool workers
     inherit the parent's built levels for free."""
-    key = (id(framework.spec), max_depth)
+    key = id(framework.spec)
     table = _TABLES.get(key)
     if table is None:
-        table = FrameworkSummaryTable(
-            framework, apidb, max_depth=max_depth, store_dir=store_dir
-        )
+        table = FrameworkSummaryTable(framework, store_dir=store_dir)
         _TABLES[key] = table
     elif store_dir is not None:
         table.set_store_dir(store_dir)
     return table
 
 
-def cached_table(
-    spec, max_depth: int | None = DEFAULT_FRAMEWORK_DEPTH
-) -> FrameworkSummaryTable | None:
+def cached_table(spec) -> FrameworkSummaryTable | None:
     """The registered table for ``spec``, if any (no build)."""
-    return _TABLES.get((id(spec), max_depth))
+    return _TABLES.get(id(spec))

@@ -90,9 +90,6 @@ class ApiInterval:
             return True
         return self.lo <= other.lo and other.hi <= self.hi
 
-    def overlaps(self, other: "ApiInterval") -> bool:
-        return not self.meet(other).is_empty
-
     # -- lattice operations ---------------------------------------------
 
     def meet(self, other: "ApiInterval") -> "ApiInterval":

@@ -139,10 +139,6 @@ class Apk:
         return class_name in self._by_name
 
     @property
-    def primary_dex(self) -> DexFile:
-        return self.dex_files[0]
-
-    @property
     def secondary_dex_files(self) -> tuple[DexFile, ...]:
         return tuple(d for d in self.dex_files if d.secondary)
 

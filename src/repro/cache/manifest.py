@@ -223,8 +223,3 @@ def shared_manifest(
     elif max_bytes is not None:
         manifest.max_bytes = max_bytes
     return manifest
-
-
-def _reset_shared_manifests() -> None:
-    """Drop the registry (tests re-opening directories cold)."""
-    _SHARED_MANIFESTS.clear()

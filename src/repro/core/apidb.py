@@ -56,16 +56,6 @@ class ApiEntry:
     def lifetime(self) -> tuple[int, int]:
         return (min(self.levels), max(self.levels))
 
-    def missing_within(self, interval: ApiInterval) -> ApiInterval:
-        """The hull of levels in ``interval`` where the method is
-        absent (empty when fully covered)."""
-        missing = [
-            level for level in interval if level not in self.levels
-        ]
-        if not missing:
-            return ApiInterval.empty()
-        return ApiInterval.of(min(missing), max(missing))
-
 
 @dataclass
 class ApiClassEntry:

@@ -127,14 +127,6 @@ class AnalysisMetrics:
         return self.stats.instructions_deduped
 
     @property
-    def class_dedup_fraction(self) -> float:
-        """Fraction of analyzed app classes answered by the store."""
-        loaded = self.stats.app_classes_loaded
-        if not loaded:
-            return 0.0
-        return self.stats.app_classes_deduped / loaded
-
-    @property
     def guard_contexts_deduped(self) -> int:
         """Guard-propagation contexts answered from cached rows."""
         return self.stats.guard_contexts_deduped

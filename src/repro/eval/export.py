@@ -9,6 +9,7 @@ and bar charts — the series exported here regenerate them exactly).
 from __future__ import annotations
 
 import csv
+import io
 import json
 from pathlib import Path
 
@@ -20,6 +21,8 @@ __all__ = [
     "export_timing_csv",
     "export_memory_csv",
     "export_run_json",
+    "memory_csv",
+    "timing_csv",
 ]
 
 
@@ -45,45 +48,55 @@ def export_accuracy_csv(run: RunResults, path: str | Path) -> None:
                 )
 
 
-def export_timing_csv(run: RunResults, path: str | Path) -> None:
+def timing_csv(run: RunResults) -> str:
     """Per-app, per-tool modeled seconds (Figure 3 raw series)."""
-    with open(path, "w", newline="") as handle:
-        writer = csv.writer(handle)
-        writer.writerow(["app", "kloc", "tool", "seconds", "failed"])
-        for result in run.results:
-            for tool, report in result.reports.items():
-                if report.metrics is None:
-                    continue
-                writer.writerow(
-                    [
-                        result.app,
-                        f"{result.kloc:.2f}",
-                        tool,
-                        ""
-                        if report.metrics.failed
-                        else f"{report.metrics.modeled_seconds:.3f}",
-                        int(report.metrics.failed),
-                    ]
-                )
+    buffer = io.StringIO()
+    writer = csv.writer(buffer)
+    writer.writerow(["app", "kloc", "tool", "seconds", "failed"])
+    for result in run.results:
+        for tool, report in result.reports.items():
+            if report.metrics is None:
+                continue
+            writer.writerow(
+                [
+                    result.app,
+                    f"{result.kloc:.2f}",
+                    tool,
+                    ""
+                    if report.metrics.failed
+                    else f"{report.metrics.modeled_seconds:.3f}",
+                    int(report.metrics.failed),
+                ]
+            )
+    return buffer.getvalue()
+
+
+def memory_csv(run: RunResults) -> str:
+    """Per-app, per-tool modeled MB (Figure 4 raw series)."""
+    buffer = io.StringIO()
+    writer = csv.writer(buffer)
+    writer.writerow(["app", "kloc", "tool", "memory_mb"])
+    for result in run.results:
+        for tool, report in result.reports.items():
+            if report.metrics is None or report.metrics.failed:
+                continue
+            writer.writerow(
+                [
+                    result.app,
+                    f"{result.kloc:.2f}",
+                    tool,
+                    f"{report.metrics.modeled_memory_mb:.1f}",
+                ]
+            )
+    return buffer.getvalue()
+
+
+def export_timing_csv(run: RunResults, path: str | Path) -> None:
+    Path(path).write_bytes(timing_csv(run).encode())
 
 
 def export_memory_csv(run: RunResults, path: str | Path) -> None:
-    """Per-app, per-tool modeled MB (Figure 4 raw series)."""
-    with open(path, "w", newline="") as handle:
-        writer = csv.writer(handle)
-        writer.writerow(["app", "kloc", "tool", "memory_mb"])
-        for result in run.results:
-            for tool, report in result.reports.items():
-                if report.metrics is None or report.metrics.failed:
-                    continue
-                writer.writerow(
-                    [
-                        result.app,
-                        f"{result.kloc:.2f}",
-                        tool,
-                        f"{report.metrics.modeled_memory_mb:.1f}",
-                    ]
-                )
+    Path(path).write_bytes(memory_csv(run).encode())
 
 
 def export_run_json(run: RunResults, path: str | Path) -> None:

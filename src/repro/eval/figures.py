@@ -7,8 +7,9 @@
   world apps, plus per-tool timing summaries.
 * Figure 4 — per-app peak analysis memory, SAINTDroid vs CID.
 
-The harness prints these as text (an ASCII scatter for Figure 3) and
-the raw series are returned so users can plot them with any tool.
+:mod:`repro.eval.results` renders these as text (an ASCII scatter for
+Figure 3); the raw series are returned so users can plot them with any
+tool.
 """
 
 from __future__ import annotations

@@ -296,9 +296,7 @@ class PoolBackend(CorpusBackend):
 
             # Build the table parent-side, from the levels just warmed,
             # so forked workers inherit it as copy-on-write pages.
-            table = summary_table(
-                framework, toolset.apidb, store_dir=toolset.cache_dir
-            )
+            table = summary_table(framework, store_dir=toolset.cache_dir)
             for level in levels:
                 try:
                     table.level_summaries(level)

@@ -1,7 +1,7 @@
 """Renderers for the paper's tables.
 
 Each ``table*`` function returns structured data; each ``render_*``
-turns it into the aligned text the benchmark harness prints.  Nothing
+turns it into the aligned text :mod:`repro.eval.results` writes.  Nothing
 here fabricates numbers — every cell is computed from detector runs.
 """
 

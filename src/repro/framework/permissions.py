@@ -117,9 +117,5 @@ class PermissionMap:
             merged = self.direct.get(method, frozenset()) | permissions
             self.direct[method] = merged
 
-    def mapped_methods(self, *, deep: bool = True) -> tuple[MethodRef, ...]:
-        table = self.transitive if deep else self.direct
-        return tuple(table)
-
     def __len__(self) -> int:
         return len(self.transitive)

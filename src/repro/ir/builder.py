@@ -31,7 +31,6 @@ from .instructions import (
     ConstNull,
     ConstString,
     FieldGet,
-    FieldPut,
     Goto,
     IfCmp,
     IfCmpZero,
@@ -184,9 +183,6 @@ class MethodBuilder:
 
     def field_get(self, dest: int, fieldref: FieldRef) -> "MethodBuilder":
         return self.emit(FieldGet(dest, fieldref))
-
-    def field_put(self, src: int, fieldref: FieldRef) -> "MethodBuilder":
-        return self.emit(FieldPut(src, fieldref))
 
     # -- terminators ------------------------------------------------
 

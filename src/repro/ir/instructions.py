@@ -118,10 +118,6 @@ class Instruction:
     """Base class for all instructions (purely structural)."""
 
     @property
-    def mnemonic(self) -> str:
-        return type(self).__name__.lower()
-
-    @property
     def branch_targets(self) -> tuple[str, ...]:
         return ()
 

@@ -177,9 +177,7 @@ class FrameworkSummariesPass(Pass):
     def run(self, ctx: AnalysisContext) -> None:
         from ..analysis.fwsummaries import summary_table
 
-        table = summary_table(
-            ctx.framework, ctx.apidb, store_dir=self._store_dir
-        )
+        table = summary_table(ctx.framework, store_dir=self._store_dir)
         # Force the level's summaries now so the build lands in this
         # pass's ``load`` timing, not inside ``explore``.
         table.level_summaries(ctx.get("resolution_level"))

@@ -1107,10 +1107,6 @@ class AppForge:
         builder.finish(hook)
         self._classes.append(builder.build())
 
-    def request_permission(self, permission: str) -> None:
-        """Add a manifest ``uses-permission`` entry directly."""
-        self._permissions.add(permission)
-
     # ------------------------------------------------------------------
     # Semantic (behavior-only) scenarios
     # ------------------------------------------------------------------

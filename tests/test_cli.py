@@ -1,14 +1,18 @@
 """Tests for the command-line interface."""
 
 import json
+from pathlib import Path
 
 import pytest
 
 from repro.apk.serialization import save_apk
 from repro.cli import build_parser, main
+from repro.eval import results
 from repro.ir.builder import ClassBuilder
 
 from tests.conftest import activity_class, make_apk
+
+RESULTS_DIR = Path(__file__).resolve().parents[1] / "benchmarks" / "results"
 
 
 @pytest.fixture()
@@ -59,16 +63,18 @@ class TestCommands:
 
     def test_table1(self, capsys):
         assert main(["table", "1"]) == 0
-        assert "Table I" in capsys.readouterr().out
+        expected = (RESULTS_DIR / "table1.txt").read_text()
+        assert capsys.readouterr().out == expected
 
     def test_table4(self, capsys):
         assert main(["table", "4"]) == 0
-        out = capsys.readouterr().out
-        assert "SAINTDroid" in out and "CIDER" in out
+        expected = (RESULTS_DIR / "table4.txt").read_text()
+        assert capsys.readouterr().out == expected
 
     def test_figure1(self, capsys):
-        assert main(["figure", "1", "--app-level", "23"]) == 0
-        assert "compatible" in capsys.readouterr().out
+        assert main(["figure", "1"]) == 0
+        expected = (RESULTS_DIR / "figure1.txt").read_text()
+        assert capsys.readouterr().out == expected
 
     def test_apidb_query(self, capsys):
         assert main([
@@ -189,6 +195,26 @@ class TestCliErrorHandling:
             "difftest", "--n-apps", "2", "--no-shrink", "--no-mutation",
             "--checkpoint", str(bad),
         ]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ")
+        assert "corrupt journal line 1" in err
+
+    @pytest.mark.parametrize("command", [
+        ["rq2", "--count", "2"],
+        ["figure", "3", "--count", "2"],
+        ["table", "2", "--scale", "0.1"],
+    ])
+    def test_corrupt_checkpoint_is_refused_before_any_app_is_built(
+        self, command, tmp_path, capsys, monkeypatch
+    ):
+        def unreachable(*args, **kwargs):
+            raise AssertionError("apps built before the journal check")
+
+        monkeypatch.setattr(results, "generate_corpus", unreachable)
+        monkeypatch.setattr(results, "build_benchmark_suite", unreachable)
+        bad = tmp_path / "bad.jsonl"
+        bad.write_text("{not json\n{}\n")
+        assert main([*command, "--checkpoint", str(bad)]) == 1
         err = capsys.readouterr().err
         assert err.startswith("error: ")
         assert "corrupt journal line 1" in err
