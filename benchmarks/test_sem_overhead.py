@@ -21,6 +21,7 @@ import time
 import pytest
 
 from repro.core import SaintDroid
+from repro.eval.runner import ToolSet
 from repro.workload.corpus import CorpusConfig, generate_corpus
 
 from .conftest import RESULTS_DIR
@@ -37,7 +38,8 @@ MAX_OVERHEAD = 0.05
 
 
 @pytest.fixture(scope="module")
-def overhead(toolset) -> dict:
+def overhead() -> dict:
+    toolset = ToolSet.default()
     detector = SaintDroid(toolset.framework, toolset.apidb)
     apps = [
         member.forged.apk

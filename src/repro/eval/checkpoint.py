@@ -182,7 +182,8 @@ class CheckpointJournal:
     """Append-only JSONL journal keyed by corpus index.
 
     ``load()`` returns everything already journaled (empty for a fresh
-    file); ``append()`` durably records one more finalized result.
+    file), and ``records()`` checks the same lines without decoding
+    them; ``append()`` durably records one more finalized result.
     The same path can be carried across any number of kill/resume
     cycles.
     """
@@ -190,18 +191,18 @@ class CheckpointJournal:
     def __init__(self, path: str | Path, *, tools: tuple[str, ...]):
         self._log = AppendLog(path, tools=tools)
 
-    def load(self) -> dict[int, AppResult]:
-        """Read all journaled results, validating the header."""
+    def records(self) -> list[dict]:
+        """The journaled result records, checked but not decoded."""
         records, bad, _torn = self._log.read()
         if bad:
             raise CheckpointError(
                 f"{self._log.path}: corrupt journal line {bad[0]}"
             )
-        return dict(
-            result_from_dict(doc)
-            for doc in records
-            if doc.get("type") == "result"
-        )
+        return [doc for doc in records if doc.get("type") == "result"]
+
+    def load(self) -> dict[int, AppResult]:
+        """Read all journaled results, validating the header."""
+        return dict(result_from_dict(doc) for doc in self.records())
 
     def append(self, index: int, result: AppResult) -> None:
         """Durably record one finalized result."""
