@@ -13,6 +13,8 @@ tests check them on the CIDER-Bench replicas:
 
 from repro.repair.engine import RepairEngine
 
+from .conftest import assert_committed
+
 
 def test_dynamic_verification_reaches_full_api_precision(session):
     verified_scores = session.result("ablation_dynamic.txt").data
@@ -43,3 +45,7 @@ def test_repair_eliminates_every_repairable_finding(session):
     # blind-spot findings, which repair *also* guards — making them
     # disappear) is gone.
     assert all(m.kind.value in ("APC",) for m in residual)
+
+
+def test_committed_results_reproduce(session):
+    assert_committed(session, "ablation_dynamic.txt")

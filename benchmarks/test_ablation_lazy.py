@@ -9,6 +9,8 @@
    the trap workload without losing any true positive.
 """
 
+from .conftest import assert_committed
+
 
 def test_lazy_vs_eager_loading(session):
     data = session.result("ablation_lazy.txt").data
@@ -40,3 +42,7 @@ def test_anonymous_guard_ablation(session):
     assert (truth.issue_keys & default_report.keys) == (
         truth.issue_keys & fixed_report.keys
     )
+
+
+def test_committed_results_reproduce(session):
+    assert_committed(session, "ablation_lazy.txt", "ablation_anonymous.txt")

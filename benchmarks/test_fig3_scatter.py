@@ -13,6 +13,8 @@ import pytest
 
 from repro.workload.appgen import AppForge
 
+from .conftest import assert_committed
+
 
 @pytest.fixture(scope="module")
 def data(session):
@@ -67,3 +69,7 @@ def test_figure3_outlier_mechanism(session):
     assert heavy.metrics.modeled_seconds > (
         1.5 * plain.metrics.modeled_seconds
     )
+
+
+def test_committed_results_reproduce(session):
+    assert_committed(session, "figure3.txt", "figure3_series.csv")

@@ -11,6 +11,8 @@ Paper anchors:
 
 import pytest
 
+from .conftest import assert_committed
+
 
 @pytest.fixture(scope="module")
 def data(session):
@@ -33,3 +35,7 @@ def test_figure4_per_app_ordering(data):
     series = data["series"]
     pairs = zip(series["SAINTDroid"], series["CID"])
     assert all(saint < cid for saint, cid in pairs)
+
+
+def test_committed_results_reproduce(session):
+    assert_committed(session, "figure4.txt", "figure4_series.csv")

@@ -1,17 +1,10 @@
 """E13 — persistent incremental runs: the on-disk cache end to end.
 
-Two comparisons, both written to ``results/BENCH_incremental.json``:
-
-* **cold vs warm corpus run** — the same corpus analyzed twice against
-  one ``--cache-dir``: the cold pass analyzes and stores, the warm
-  pass must be served from the result cache, fingerprint-identical
-  and at least 5x faster;
-* **snapshot load vs substrate rebuild** — loading the framework
-  snapshot from disk vs the cold-process substrate construction
-  (``build_spec`` + mining), the startup cost every fresh process or
-  spawn-platform pool worker would otherwise pay.  Loading the
-  corpus-written snapshot (which also re-materializes the touched
-  framework classes) is timed separately as ``warm_snapshot_load_s``.
+The same corpus analyzed with no cache, then twice against one
+``--cache-dir``: the cold pass analyzes and stores, the warm pass must
+be served from the result cache, fingerprint-identical and at least 5x
+faster, and populating the cache must not slow the cold pass by more
+than 1.5x.  Written to ``results/BENCH_incremental.json``.
 
 Environment knobs: ``REPRO_INCREMENTAL_CORPUS`` (apps, default 12).
 """
@@ -24,12 +17,6 @@ import time
 
 import pytest
 
-from repro.cache import (
-    fingerprint_spec,
-    load_snapshot,
-    snapshot_path,
-    write_snapshot,
-)
 from repro.core.arm import mine_spec
 from repro.eval.runner import ToolSet, run_tools
 from repro.framework import FrameworkRepository
@@ -78,38 +65,6 @@ def incremental(tmp_path_factory) -> dict:
     warm_parallel = run_tools(apps, toolset(), jobs=4, cache_dir=cache_dir)
     warm_parallel_s = time.perf_counter() - start
 
-    # Substrate startup: spec construction plus API mining is what a
-    # fresh process pays; the snapshot replaces it with one unpickle.
-    # Both legs end with a cold class cache — warm-class prefetch costs
-    # the same materialization work either way (at load or on demand),
-    # so it is timed separately below and not part of this comparison.
-    start = time.perf_counter()
-    rebuilt_spec = build_spec()
-    FrameworkRepository(rebuilt_spec)
-    mine_spec(rebuilt_spec)
-    rebuild_s = time.perf_counter() - start
-
-    key = fingerprint_spec(spec)
-    cold_store = tmp_path_factory.mktemp("snapshot-cold")
-    cold_path = write_snapshot(
-        cold_store, key, FrameworkRepository(spec), apidb
-    )
-    start = time.perf_counter()
-    loaded = load_snapshot(cold_path, key=key)
-    snapshot_load_s = time.perf_counter() - start
-    assert loaded is not None
-
-    # The snapshot the corpus runs wrote carries the touched-class key
-    # set; loading it re-materializes those classes (the work a cold
-    # run would do lazily during analysis).
-    warm_path = snapshot_path(cache_dir, key)
-    assert warm_path.exists()
-    start = time.perf_counter()
-    warm_loaded = load_snapshot(warm_path, key=key)
-    warm_snapshot_load_s = time.perf_counter() - start
-    assert warm_loaded is not None
-    assert warm_loaded[0].export_class_cache()
-
     return {
         "cache_dir": cache_dir,
         "uncached": uncached,
@@ -120,9 +75,6 @@ def incremental(tmp_path_factory) -> dict:
         "cold_s": cold_s,
         "warm_s": warm_s,
         "warm_parallel_s": warm_parallel_s,
-        "rebuild_s": rebuild_s,
-        "snapshot_load_s": snapshot_load_s,
-        "warm_snapshot_load_s": warm_snapshot_load_s,
     }
 
 
@@ -160,14 +112,6 @@ def test_speedups_and_report(incremental):
         "warm_parallel_s": round(incremental["warm_parallel_s"], 3),
         "warm_speedup_vs_cold": round(warm_speedup, 2),
         "cold_overhead_vs_uncached": round(cache_overhead, 3),
-        "substrate_rebuild_s": round(incremental["rebuild_s"], 3),
-        "snapshot_load_s": round(incremental["snapshot_load_s"], 3),
-        "warm_snapshot_load_s": round(
-            incremental["warm_snapshot_load_s"], 3
-        ),
-        "snapshot_speedup_vs_rebuild": round(
-            incremental["rebuild_s"] / incremental["snapshot_load_s"], 2
-        ),
         "phase_totals_cold": {
             phase: round(seconds, 3)
             for phase, seconds in incremental["cold"]
@@ -189,7 +133,3 @@ def test_speedups_and_report(incremental):
     assert warm_speedup >= 5.0
     # Populating the cache must not meaningfully slow the cold run.
     assert cache_overhead <= 1.5
-    # Loading the snapshot beats rebuilding the substrate from scratch.
-    assert (
-        incremental["snapshot_load_s"] < incremental["rebuild_s"]
-    )

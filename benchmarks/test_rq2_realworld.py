@@ -14,6 +14,8 @@ not totals, are the reproduction target; ``saintdroid rq2 --count
 
 import pytest
 
+from .conftest import assert_committed
+
 
 @pytest.fixture(scope="module")
 def summary(session):
@@ -46,3 +48,7 @@ def test_rq2_single_app_analysis_cost(session):
     )[len(corpus) // 2]
     report = session.saintdroid().analyze(mid.forged.apk)
     assert report.metrics is not None and not report.metrics.failed
+
+
+def test_committed_results_reproduce(session):
+    assert_committed(session, "rq2.txt")

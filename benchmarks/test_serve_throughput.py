@@ -166,9 +166,6 @@ class TestServeThroughput:
             },
             "pool": {
                 "restarts": serve_bench["health"]["pool"]["restarts"],
-                "substrate_source": serve_bench["health"]["pool"].get(
-                    "substrate_source"
-                ),
             },
         }
         RESULTS_DIR.mkdir(exist_ok=True)

@@ -13,6 +13,8 @@ Expected shape (asserted):
 * the CID/SAINTDroid memory ratio *widens* monotonically with scale.
 """
 
+from .conftest import assert_committed
+
 SIZES = (500, 1000, 2000, 4000)
 
 
@@ -35,3 +37,7 @@ def test_framework_scale_sweep(session):
     ratios = [p.memory_ratio for p in points]
     assert all(b > a for a, b in zip(ratios, ratios[1:]))
     assert ratios[-1] > 2.0 * ratios[0]
+
+
+def test_committed_results_reproduce(session):
+    assert_committed(session, "sweep_framework_scale.txt")

@@ -6,6 +6,8 @@ paper's three rows and the region split around the app level.
 
 from repro.apk.manifest import MAX_API_LEVEL, MIN_API_LEVEL
 
+from .conftest import assert_committed
+
 
 def test_table1_taxonomy(session):
     rows = session.result("table1.txt").data
@@ -21,3 +23,7 @@ def test_figure1_regions(session):
     assert backward == list(range(MIN_API_LEVEL, app_level))
     assert forward == list(range(app_level + 1, MAX_API_LEVEL + 1))
     assert regions[app_level] == "compatible"
+
+
+def test_committed_results_reproduce(session):
+    assert_committed(session, "table1.txt", "figure1.txt")

@@ -14,6 +14,8 @@ precision/recall/F1 of column one):
 
 import pytest
 
+from .conftest import assert_committed
+
 
 @pytest.fixture(scope="module")
 def table(session):
@@ -57,3 +59,7 @@ def test_prm_detection_is_unique_to_saintdroid(session):
     assert accuracies["SAINTDroid"].group("PRM").fp == 0
     for tool in ("CID", "CIDER", "Lint"):
         assert accuracies[tool].group("PRM").reported == 0
+
+
+def test_committed_results_reproduce(session):
+    assert_committed(session, "table2.txt")

@@ -14,6 +14,8 @@ Paper anchors asserted:
 
 import pytest
 
+from .conftest import assert_committed
+
 
 @pytest.fixture(scope="module")
 def rows(session):
@@ -64,3 +66,7 @@ def test_timing_protocol_three_repetitions(session):
     assert max(seconds) - min(seconds) < 1e-9  # deterministic model
     average = sum(seconds) / 3
     assert average > 0
+
+
+def test_committed_results_reproduce(session):
+    assert_committed(session, "table3.txt")

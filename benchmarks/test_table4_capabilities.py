@@ -8,6 +8,8 @@ against observed behaviour on the benchmark run.
 
 from repro.core.kinds import kind_families
 
+from .conftest import assert_committed
+
 
 def test_table4_capabilities(session):
     rows = session.result("table4.txt").data
@@ -43,3 +45,7 @@ def test_table4_capabilities(session):
     assert accuracies["SAINTDroid"].group("API").reported > 0
     assert accuracies["SAINTDroid"].group("APC").reported > 0
     assert accuracies["SAINTDroid"].group("PRM").reported > 0
+
+
+def test_committed_results_reproduce(session):
+    assert_committed(session, "table4.txt")

@@ -348,7 +348,6 @@ class ClassLoaderVM:
         level: int,
         *,
         follow_framework: bool = True,
-        include_secondary_dex: bool = True,
         max_framework_depth: int | None = DEFAULT_FRAMEWORK_DEPTH,
         summaries=None,
         class_store=None,
@@ -382,7 +381,6 @@ class ClassLoaderVM:
         self._follow_framework = follow_framework
         self._max_framework_depth = max_framework_depth
         self._summaries = summaries if follow_framework else None
-        self._include_secondary = include_secondary_dex
         self.class_store = class_store
         #: Class name -> artifact consulted or recorded during this
         #: app's exploration; the helper-collection and guard phases
@@ -426,7 +424,6 @@ class ClassLoaderVM:
             apk,
             framework,
             level,
-            include_secondary_dex=include_secondary_dex,
             loaded_hook=self._on_class_loaded,
         )
         # Reverse subtype index over app classes, for virtual dispatch
@@ -829,12 +826,7 @@ class ClassLoaderVM:
         """
         if not ref.is_framework:
             return False
-        lookup = (
-            self._apk.lookup
-            if self._include_secondary
-            else self._apk.lookup_primary
-        )
-        if lookup(ref.class_name) is not None:
+        if self._apk.lookup(ref.class_name) is not None:
             # The app shadows the framework name; lazy resolution
             # would analyze the app class, so must we.
             return False

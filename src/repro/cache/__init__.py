@@ -4,19 +4,20 @@ Corpus-scale vetting re-analyzes the same corpora as tools and API
 databases evolve; this package makes the *unchanged* part of every
 re-run cost near zero.  Three tiers:
 
-* **framework snapshots** (:mod:`.snapshot`) — the materialized
-  repository + mined API database serialized once per framework
-  fingerprint, loaded by corpus runs, the serve daemon and sweep
-  points instead of regenerated;
 * **per-app results** (:mod:`.results`) — finalized
   :class:`~repro.eval.runner.AppResult` records keyed by (APK content,
   framework, detector configuration) fingerprints; warm runs are
   fingerprint-identical to cold ones while skipping the analysis;
+* **per-class artifacts** (:mod:`.classes`) — the content-addressed
+  class store behind ``--dedup``;
 * **bookkeeping** (:mod:`.manifest`) — versioned schema, atomic
   writes, corruption-as-miss, size-bounded LRU eviction.
 
-Everything is keyed through :mod:`.fingerprint`; nothing in here
-affects *what* a run computes, only whether it recomputes it.
+Framework summary tables (:mod:`repro.analysis.fwsummaries`) persist
+under the same directory and manifest.  The framework substrate itself
+is not cached: every process builds it from the spec.  Everything is
+keyed through :mod:`.fingerprint`; nothing in here affects *what* a
+run computes, only whether it recomputes it.
 """
 
 from .classes import (
@@ -43,13 +44,6 @@ from .manifest import (
     shared_manifest,
 )
 from .results import ResultCache, ResultCacheStats
-from .snapshot import (
-    ensure_snapshot,
-    load_or_build_substrate,
-    load_snapshot,
-    snapshot_path,
-    write_snapshot,
-)
 
 __all__ = [
     "CACHE_SCHEMA_VERSION",
@@ -65,15 +59,10 @@ __all__ = [
     "class_key",
     "class_store",
     "digest_json",
-    "ensure_snapshot",
     "fingerprint_apk",
     "fingerprint_clazz",
     "fingerprint_config",
     "fingerprint_spec",
-    "load_or_build_substrate",
-    "load_snapshot",
     "result_key",
     "shared_manifest",
-    "snapshot_path",
-    "write_snapshot",
 ]

@@ -43,11 +43,12 @@ __all__ = [
     "class_key",
 ]
 
-#: Version of every on-disk cache artifact (snapshot pickles, result
-#: entries, manifest).  Part of every key: bump to orphan old entries.
+#: Version of every on-disk cache artifact (result entries, class
+#: artifacts, summary tables, manifest).  Part of every key: bump to
+#: orphan old entries.
 #: v2: framework method padding is a CRC of the method signature
 #: instead of the hash-seeded ``hash()``, so the framework a spec
-#: materializes — its snapshots, summaries, class artifacts and every
+#: materializes — its summaries, class artifacts and every
 #: cached work/memory unit — changed; the spec digest embeds this
 #: version, so all of them are misses.
 CACHE_SCHEMA_VERSION = 2

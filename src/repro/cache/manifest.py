@@ -16,8 +16,8 @@ unreadable or truncated manifest is treated as empty and rebuilt by
 scanning the directory, because losing bookkeeping must never lose a
 run.  All writes go through :func:`atomic_write_bytes` (temp file +
 ``os.replace``), so a crash mid-write leaves either the old artifact
-or the new one, never a torn file.  Pickled artifacts (framework
-snapshots, class artifacts, summary tables) share one encoding,
+or the new one, never a torn file.  Pickled artifacts (class
+artifacts, summary tables) share one encoding,
 :func:`write_checksummed` / :func:`read_checksummed`: a SHA-256 digest
 in front of the pickle, so a damaged file is detected before it is
 unpickled.
@@ -43,8 +43,7 @@ __all__ = [
     "shared_manifest",
 ]
 
-#: Default byte budget for the result-entry store (framework
-#: snapshots are few and excluded from eviction).
+#: Default byte budget for the entries one cache directory holds.
 DEFAULT_MAX_BYTES = 512 * 1024 * 1024
 
 

@@ -10,7 +10,7 @@ fingerprint-relevant field: a warm run restored from this cache is
 bit-identical (by :meth:`RunResults.fingerprint`) to the cold run that
 populated it.
 
-Discipline (shared with the checkpoint journal and snapshots):
+Discipline (shared with the checkpoint journal and class store):
 
 * **only clean results are stored** — a failed, quarantined, or
   fault-injected app is never cached, so retries and chaos runs always

@@ -24,9 +24,10 @@ also take the fault-tolerance flags ``--timeout``, ``--max-retries``,
 ``--retry-backoff``, and ``--checkpoint`` (kill/resume journal); runs
 that lose apps end with a per-kind failure breakdown.  All corpus
 commands (and ``sweep``) accept ``--cache-dir DIR`` (default:
-``$REPRO_CACHE_DIR``) to persist framework snapshots and per-app
-results across runs, and ``--no-cache`` to force cold analysis.
-``serve``      run the resident analysis daemon: substrate loaded
+``$REPRO_CACHE_DIR``) to persist per-app results, framework summary
+tables and (with ``--dedup``) class artifacts across runs, and
+``--no-cache`` to force cold analysis.
+``serve``      run the resident analysis daemon: substrate built
                once, jobs over HTTP, write-ahead journal, supervised
                worker pool, graceful SIGTERM drain
 ``submit``     send ``.sapk`` packages to a running daemon and wait
@@ -222,10 +223,10 @@ def build_parser() -> argparse.ArgumentParser:
         corpus commands, ``serve`` and (without ``--dedup``) ``sweep``."""
         command.add_argument(
             "--cache-dir", type=Path, default=None, metavar="DIR",
-            help="persistent cache: framework snapshots + per-app "
-                 "results keyed by content fingerprints (defaults to "
-                 "$REPRO_CACHE_DIR when set; warm runs skip unchanged "
-                 "analyses with identical results)",
+            help="persistent cache: per-app results, summary tables "
+                 "and class artifacts keyed by content fingerprints "
+                 "(defaults to $REPRO_CACHE_DIR when set; warm runs "
+                 "skip unchanged analyses with identical results)",
         )
         command.add_argument(
             "--no-cache", action="store_true",

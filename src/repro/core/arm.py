@@ -43,7 +43,6 @@ __all__ = [
     "mine_images",
     "close_permissions",
     "build_api_database",
-    "cached_database",
     "register_database",
 ]
 
@@ -290,19 +289,8 @@ def build_api_database(
     return apidb
 
 
-def cached_database(spec: FrameworkSpec) -> ApiDatabase | None:
-    """The already-built database for this exact spec object, if any.
-
-    Keyed by object identity like :func:`build_api_database`'s memo:
-    under the fork start method a pool worker (a respawned one too)
-    inherits the parent's built database and must reuse it instead of
-    re-mining.
-    """
-    return _cached(spec)
-
-
 def register_database(spec: FrameworkSpec, apidb: ApiDatabase) -> None:
-    """Adopt a database built elsewhere (e.g. loaded from a framework
-    snapshot) so later :func:`build_api_database` calls over the same
-    spec object are dictionary hits."""
+    """Adopt a database built elsewhere (e.g. unpickled by a spawned
+    pool worker) so later :func:`build_api_database` calls over the
+    same spec object are dictionary hits."""
     _DEFAULT_CACHE[id(spec)] = (spec, apidb)

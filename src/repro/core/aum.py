@@ -579,7 +579,6 @@ class ApiUsageModeler:
         apidb: ApiDatabase,
         *,
         propagate_guards_into_anonymous: bool = False,
-        analyze_secondary_dex: bool = True,
     ) -> None:
         """``propagate_guards_into_anonymous=True`` removes the
         documented anonymous-inner-class blind spot — the ablation knob
@@ -587,7 +586,6 @@ class ApiUsageModeler:
         self._framework = framework
         self._apidb = apidb
         self._into_anonymous = propagate_guards_into_anonymous
-        self._secondary = analyze_secondary_dex
 
     def entry_points(self, apk: Apk) -> tuple[MethodRef, ...]:
         return entry_points(apk)
@@ -599,13 +597,7 @@ class ApiUsageModeler:
         # after the target level too (the database, not the loaded
         # image, decides per-level existence).
         level = apk.manifest.effective_max_sdk
-        vm = ClassLoaderVM(
-            apk,
-            self._framework,
-            level,
-            follow_framework=True,
-            include_secondary_dex=self._secondary,
-        )
+        vm = ClassLoaderVM(apk, self._framework, level)
         # Under lazy loading the CLVM interleaves class loads with
         # exploration, so ``explore`` covers both; the eager ablation's
         # whole-world load is timed separately as ``load``.

@@ -46,7 +46,6 @@ class SaintDroid(PipelineDetector):
         *,
         lazy_loading: bool = True,
         propagate_guards_into_anonymous: bool = False,
-        analyze_secondary_dex: bool = True,
         framework_summaries: bool = False,
         dedup: bool = False,
         cache_dir: str | None = None,
@@ -68,7 +67,6 @@ class SaintDroid(PipelineDetector):
                 propagate_guards_into_anonymous=(
                     propagate_guards_into_anonymous
                 ),
-                analyze_secondary_dex=analyze_secondary_dex,
                 framework_summaries=framework_summaries,
                 dedup=dedup,
                 cache_dir=cache_dir,

@@ -27,7 +27,7 @@ The :class:`MismatchKind` facade keeps the enum's calling conventions
 untouched; the members are now registered singletons rather than enum
 members.  Specs pickle by value and resolve back to the registered
 singleton, so ``mismatch.kind is MismatchKind.API_INVOCATION`` holds
-across process pools and snapshot restores.
+across process pools and pickled cache entries.
 """
 
 from __future__ import annotations

@@ -87,11 +87,7 @@ class CorpusBackend:
         """Tool names, in report order (keys checkpoint + cache)."""
         return self.toolset.tool_names
 
-    def prepare(
-        self,
-        cache_dir: str | Path | None,
-        pending: Iterable[Entry] = (),
-    ) -> None:
+    def prepare(self, pending: Iterable[Entry] = ()) -> None:
         """One-time setup before the first batch, called only when at
         least one app actually needs analysis.  ``pending`` is that
         batch, so a backend can pre-warm exactly the framework levels
@@ -108,16 +104,10 @@ class CorpusBackend:
         """The run's cache accounting so far."""
         return self.toolset.cache_stats()
 
-    def finish(self, cache_dir: str | Path | None) -> dict:
+    def finish(self) -> dict:
         """Persist what outlives the run and return its cache
         accounting."""
         toolset = self.toolset
-        if cache_dir is not None:
-            from ..cache import ensure_snapshot
-
-            # Snapshot the substrate (only written when missing) so the
-            # next cold process loads it instead of rebuilding.
-            ensure_snapshot(cache_dir, toolset.framework, toolset.apidb)
         if toolset.dedup and toolset.cache_dir is not None:
             from ..cache.classes import dedup_store
 
@@ -206,7 +196,6 @@ def run_stream(
     retry_backoff_s: float = 0.0,
     batch_limit: int = 8,
     poll_s: float = 0.05,
-    cache_dir: str | Path | None = None,
     rng: random.Random | None = None,
 ) -> dict:
     """Drain a job source through a scheduler backend.
@@ -263,7 +252,7 @@ def run_stream(
             continue
 
         if not prepared:
-            backend.prepare(cache_dir, batch)
+            backend.prepare(batch)
             prepared = True
         failed: list[Entry] = []
         for entry, result in backend.run_round(batch):
@@ -423,10 +412,9 @@ def run_corpus(
             max_retries=max_retries,
             retry_backoff_s=retry_backoff_s,
             batch_limit=max(1, len(pending)),
-            cache_dir=cache_dir,
         )
         out.results = [done[index] for index, _ in indexed]
-        out.cache_stats = backend.finish(cache_dir)
+        out.cache_stats = backend.finish()
     finally:
         backend.close()
         if journal is not None:

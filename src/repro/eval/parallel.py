@@ -265,7 +265,7 @@ class PoolBackend(CorpusBackend):
 
     # -- CorpusBackend surface -----------------------------------------
 
-    def prepare(self, cache_dir, pending=()) -> None:
+    def prepare(self, pending=()) -> None:
         # A batch run starts the pool here, once the work list is
         # known; the daemon has started it already and this is a no-op.
         self.start(pending=pending)

@@ -623,8 +623,7 @@ def run_tools(
     ``cache_dir`` enables the persistent cache
     (:mod:`repro.cache`): clean per-app
     results keyed by (APK digest, tools, framework) are served from
-    disk on later runs, and the framework substrate is snapshotted for
-    fast cold-process startup.  Cached results are fingerprint-
+    disk on later runs.  Cached results are fingerprint-
     identical to analyzed ones; fault-injected indices bypass the
     cache entirely so chaos runs quarantine exactly what an uncached
     run would.

@@ -72,17 +72,11 @@ def _sweep_point(
 ) -> SweepPoint:
     """One self-contained sweep measurement."""
     spec = build_spec(bulk_classes=bulk, seed=seed)
-    if cache_dir is not None:
-        # Each sweep point is its own framework, so each gets its own
-        # snapshot; a repeated sweep skips every re-mine.
-        from ..cache import load_or_build_substrate
-
-        framework, apidb, _source = load_or_build_substrate(
-            cache_dir, spec
-        )
-    else:
-        framework = FrameworkRepository(spec)
-        apidb = mine_spec(spec)
+    framework = FrameworkRepository(spec)
+    # Mined directly: each point's spec is new and never looked up
+    # again, so the process-wide build memo would only pin its
+    # database until exit.
+    apidb = mine_spec(spec)
     saintdroid = SaintDroid(
         framework,
         apidb,
@@ -123,10 +117,10 @@ def sweep_framework_scale(
     summaries: bool = False,
 ) -> list[SweepPoint]:
     """Measure SAINTDroid vs CID across framework sizes, one point
-    after another in ``bulk_sizes`` order.  ``cache_dir`` snapshots
-    each point's framework substrate so a repeated sweep re-mines
-    nothing.  ``summaries`` runs SAINTDroid's probes with framework
-    pre-summaries (same findings, summarized explore phase).
+    after another in ``bulk_sizes`` order.  ``summaries`` runs
+    SAINTDroid's probes with framework pre-summaries (same findings,
+    summarized explore phase), and ``cache_dir`` persists each point's
+    summary tables.
     """
     return [
         _sweep_point(bulk, probes_per_point, seed, cache_dir, summaries)

@@ -124,23 +124,13 @@ class FrameworkRepository:
         self._class_cache[key] = clazz
         return clazz, False
 
-    # -- snapshot support ----------------------------------------------
-
     def export_class_cache(
         self,
     ) -> dict[tuple[int, ClassName], Clazz | None]:
-        """A copy of the materialized-class cache, for framework
-        snapshots: a snapshot written after a corpus run carries every
-        framework class that run touched."""
+        """A copy of the materialized-class cache, keyed by
+        ``(level, name)``: every framework class this repository has
+        materialized so far."""
         return dict(self._class_cache)
-
-    def preload_class_cache(
-        self, entries: dict[tuple[int, ClassName], Clazz | None]
-    ) -> None:
-        """Install classes materialized by an earlier run (snapshot
-        load); later :meth:`load_class_cached` calls on these keys are
-        warm hits with no parse."""
-        self._class_cache.update(entries)
 
     def warm_level(self, level: int) -> int:
         """Pre-warm the class cache with the complete image at

@@ -108,7 +108,6 @@ def saintdroid_pipeline(
     *,
     lazy_loading: bool = True,
     propagate_guards_into_anonymous: bool = False,
-    analyze_secondary_dex: bool = True,
     framework_summaries: bool = False,
     dedup: bool = False,
     cache_dir: str | None = None,
@@ -140,11 +139,7 @@ def saintdroid_pipeline(
     if use_summaries:
         passes.append(FrameworkSummariesPass(store_dir=cache_dir))
     passes += [
-        ClvmLoadPass(
-            include_secondary_dex=analyze_secondary_dex,
-            use_summaries=use_summaries,
-            dedup=dedup,
-        ),
+        ClvmLoadPass(use_summaries=use_summaries, dedup=dedup),
         IcfgExplorePass(),
         GuardPropagationPass(
             into_anonymous=propagate_guards_into_anonymous

@@ -241,11 +241,9 @@ class ClvmLoadPass(Pass):
     def __init__(
         self,
         *,
-        include_secondary_dex: bool = True,
         use_summaries: bool = False,
         dedup: bool = False,
     ) -> None:
-        self._secondary = include_secondary_dex
         self._use_summaries = use_summaries
         self._dedup = dedup
         if use_summaries:
@@ -264,7 +262,6 @@ class ClvmLoadPass(Pass):
                 ctx.framework,
                 ctx.get("resolution_level"),
                 follow_framework=True,
-                include_secondary_dex=self._secondary,
                 summaries=summaries,
                 class_store=(
                     ctx.get("class_store") if self._dedup else None

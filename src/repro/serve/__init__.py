@@ -2,8 +2,8 @@
 
 The batch CLI pays substrate setup on every invocation and forgets
 everything when it exits.  This package turns the same analysis
-machinery into a long-lived *service*: the framework snapshot,
-ApiDatabase, and (optionally) the framework summary table are loaded
+machinery into a long-lived *service*: the framework repository,
+ApiDatabase, and (optionally) the framework summary table are built
 once and held warm; APK-analysis jobs arrive over a small HTTP/JSON
 API, flow through a bounded admission queue into the streaming
 orchestration engine (:func:`repro.eval.orchestration.run_stream`),

@@ -6,7 +6,7 @@ serve`` — tests and benchmarks drive it in-process, the HTTP layer
 (:mod:`repro.serve.server`) is a thin adapter over it.  Lifecycle:
 
 ``start()``
-    loads (or adopts) the substrate once, builds over it the one
+    builds the substrate once (or adopts a given one), then over it the one
     :class:`~repro.eval.runner.ToolSet` that every worker runs and
     that keys the result cache, replays the write-ahead
     journal — terminal results are adopted verbatim, acknowledged but
@@ -37,10 +37,12 @@ from typing import TYPE_CHECKING
 
 from ..apk.serialization import apk_from_dict
 from ..cache.fingerprint import fingerprint_config, fingerprint_spec
+from ..core.arm import build_api_database
 from ..eval.faults import FaultKind
 from ..eval.orchestration import run_stream
 from ..eval.parallel import PoolBackend
 from ..eval.runner import DEFAULT_TOOLS, ToolSet
+from ..framework.repository import FrameworkRepository
 from ..framework.spec import FrameworkSpec
 from ..workload.appgen import ForgedApp
 from ..workload.groundtruth import GroundTruth
@@ -50,7 +52,6 @@ from .queue import JobQueue
 
 if TYPE_CHECKING:  # pragma: no cover — import cycle guard
     from ..eval.faults import FaultPlan
-    from ..framework.repository import FrameworkRepository
 
 __all__ = ["ServeConfig", "AnalysisService"]
 
@@ -76,8 +77,8 @@ class ServeConfig:
     #: Delta analysis against the corpus-wide class-artifact store —
     #: a resident daemon's hit rate climbs as its corpus streams in.
     dedup: bool = False
-    #: Persistent cache directory (snapshots + cross-restart dedup);
-    #: ``None`` disables both.
+    #: Persistent cache directory (result cache for cross-restart
+    #: dedup, summary tables, class store); ``None`` disables all.
     cache_dir: str | None = None
     #: Write-ahead journal path (fsynced on every append; a journal
     #: written for other tools is refused at start); ``None``
@@ -126,9 +127,6 @@ class AnalysisService:
         self.config = config
         self.spec = spec
         self._substrate = substrate
-        #: Where :meth:`start` got the substrate (``/healthz`` reports
-        #: it): ``provided``, ``memory``, ``snapshot`` or ``built``.
-        self._substrate_source: str | None = None
         self.journal: ServeJournal | None = None
         self.queue: JobQueue | None = None
         self.pool: PoolBackend | None = None
@@ -145,14 +143,9 @@ class AnalysisService:
         config = self.config
         if self._substrate is not None:
             framework, apidb = self._substrate
-            source = "provided"
         else:
-            from ..cache.snapshot import load_or_build_substrate
-
-            framework, apidb, source = load_or_build_substrate(
-                config.cache_dir, self.spec
-            )
-        self._substrate_source = source
+            framework = FrameworkRepository(self.spec)
+            apidb = build_api_database(framework)
         # The one description of this daemon's analyzer: every worker
         # runs it, and it keys the result cache.
         toolset = ToolSet.default(
@@ -246,7 +239,6 @@ class AnalysisService:
             retry_backoff_s=self.config.retry_backoff_s,
             batch_limit=max(1, _BATCH_PER_WORKER * self.config.workers),
             poll_s=_POLL_S,
-            cache_dir=self.config.cache_dir,
         )
 
     def drain(self, timeout_s: float | None = None) -> str:
@@ -271,9 +263,7 @@ class AnalysisService:
                 # Adopt worker-written class artifacts into the shared
                 # manifest and enforce the byte budget (no-op without
                 # ``--dedup``), then stop the pool.
-                self._state.worker_cache_stats = self.pool.finish(
-                    self.config.cache_dir
-                )
+                self._state.worker_cache_stats = self.pool.finish()
                 self.pool.close()
             if self.journal is not None:
                 self.journal.close()
@@ -348,14 +338,7 @@ class AnalysisService:
                 else 0.0
             ),
             "queue": queue_stats,
-            "pool": (
-                {
-                    **self.pool.liveness(),
-                    "substrate_source": self._substrate_source,
-                }
-                if self.pool is not None
-                else {}
-            ),
+            "pool": self.pool.liveness() if self.pool is not None else {},
             "result_cache": cache_stats,
             "stream": dict(state.stream_stats),
             "recovery": dict(state.recovery),

@@ -129,7 +129,7 @@ class TestDefaultDatabase:
         monkeypatch.setitem(
             arm._DEFAULT_CACHE, id(fresh), (departed, spec_db)
         )
-        assert arm.cached_database(fresh) is None
+        assert arm._cached(fresh) is None
         built = arm.build_api_database(FrameworkRepository(fresh))
         assert built is not spec_db
-        assert arm.cached_database(fresh) is built
+        assert arm._cached(fresh) is built

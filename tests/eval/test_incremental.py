@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import pytest
 
-from repro.cache import fingerprint_spec, snapshot_path
 from repro.eval import ToolSet, run_tools
 from repro.eval.faults import FaultKind, FaultPlan, InjectedFault
 from repro.eval.tables import phase_breakdown, render_phases
@@ -64,17 +63,6 @@ class TestWarmRuns:
         assert stats["hits"] == len(small_corpus)
         assert stats["misses"] == 0
         assert all(result.from_cache for result in warm.results)
-
-    def test_snapshot_written_by_corpus_run(
-        self, tmp_path, framework, apidb, small_corpus
-    ):
-        run_tools(
-            small_corpus,
-            fresh_toolset(framework, apidb),
-            cache_dir=tmp_path,
-        )
-        key = fingerprint_spec(framework.spec)
-        assert snapshot_path(tmp_path, key).exists()
 
     def test_parallel_warm_equals_serial_cold(
         self, tmp_path, framework, apidb, small_corpus, baseline
@@ -352,7 +340,7 @@ class TestRetryRoundSubstrateReuse:
         """A retrying parallel run (multiple fresh pools) stays
         fingerprint-identical and recovers the transient fault —
         with the parent-built database inherited by every round."""
-        from repro.core.arm import cached_database
+        from repro.core import arm
 
         # Worker death is retryable: round 1 dispatches the app on a
         # fresh pool, whose workers must inherit the substrate.
@@ -372,7 +360,7 @@ class TestRetryRoundSubstrateReuse:
         )
         assert run.fingerprint() == baseline.fingerprint()
         # The parent registered its substrate for worker inheritance.
-        assert cached_database(framework.spec) is not None
+        assert arm._cached(framework.spec) is not None
 
 
 class TestPassTiming:

@@ -82,7 +82,7 @@ class _StubBackend(CorpusBackend):
     def tool_names(self):
         return ("stub",)
 
-    def prepare(self, cache_dir, pending=()):
+    def prepare(self, pending=()):
         self.prepared += 1
 
     def run_round(self, pending):
@@ -101,7 +101,7 @@ class _StubBackend(CorpusBackend):
                 out.append((entry, _result(app)))
         return out
 
-    def finish(self, cache_dir):
+    def finish(self):
         return {}
 
     def close(self):

@@ -67,7 +67,7 @@ class TestHttp:
             health = client.healthz()
             assert health["status"] == "ok"
             assert health["pool"]["alive"] == 2
-            assert health["pool"]["substrate_source"] == "provided"
+            assert health["pool"]["workers"] == 2
         finally:
             server.shutdown()
             server.server_close()

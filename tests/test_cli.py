@@ -76,6 +76,13 @@ class TestCommands:
         expected = (RESULTS_DIR / "figure1.txt").read_text()
         assert capsys.readouterr().out == expected
 
+    def test_reproduce_writes_committed_bytes(self, tmp_path, capsys):
+        assert main(["reproduce", "table1.txt", "--out", str(tmp_path)]) == 0
+        assert [path.name for path in tmp_path.iterdir()] == ["table1.txt"]
+        assert (tmp_path / "table1.txt").read_bytes() == (
+            RESULTS_DIR / "table1.txt"
+        ).read_bytes()
+
     def test_apidb_query(self, capsys):
         assert main([
             "apidb", "android.app.Activity",

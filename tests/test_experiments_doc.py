@@ -2,8 +2,9 @@
 
 Each result appears between ``<!-- result: NAME -->`` and
 ``<!-- /result -->`` as a fenced block that must equal
-``benchmarks/results/NAME`` byte for byte; CI separately checks that
-the committed files equal what ``python -m repro reproduce`` writes.
+``benchmarks/results/NAME`` byte for byte; CI's paper-anchor tests
+separately check that the committed files equal what
+``python -m repro reproduce`` writes.
 Together the two tie every measured number in the document to the
 code.
 """
