@@ -18,7 +18,9 @@ package: ``run_tools(jobs=N)`` (so ``table``, ``rq2``, ``figure``,
   spawn each worker unpickles it once.  Every worker therefore runs
   exactly the analyzer the serial loop would, a caller-built tool
   included, and every app it analyzes hits the framework class cache
-  and database memo tables;
+  and database memo tables.  Each worker moves what it was handed to
+  the cyclic collector's permanent generation (``gc.freeze()``), so
+  no collection in the worker re-walks the substrate;
 * **per-slot workers** — each slot is one forked process with a
   private duplex pipe and a heartbeat cell; a worker loops
   ``recv task → analyze_app → send result`` for the life of the pool,
@@ -57,6 +59,7 @@ workers; a fault-free run forks each worker once.
 
 from __future__ import annotations
 
+import gc
 import multiprocessing
 import os
 import time
@@ -105,6 +108,14 @@ def _worker_main(conn, heartbeat, slot: int, apps, toolset: ToolSet) -> None:
     # must cover only this worker's activity.
     apidb.reset_cache_counters()
     framework.cache_stats = FrameworkCacheStats()
+    # The substrate is immutable and acyclic: move it to the
+    # collector's permanent generation so no collection in this
+    # worker re-walks it (and, under fork, so none touches the pages
+    # it shares with the parent).  Classes the worker materializes
+    # itself are frozen after the task that built them.  The caller
+    # never freezes: its own cycles stay collectable.
+    gc.freeze()
+    frozen_classes = framework.cached_class_count
     heartbeat[slot] = time.time()
     parent = os.getppid()
     while True:
@@ -140,6 +151,12 @@ def _worker_main(conn, heartbeat, slot: int, apps, toolset: ToolSet) -> None:
             )
         except (BrokenPipeError, OSError):  # pragma: no cover
             return
+        if framework.cached_class_count > frozen_classes:
+            # Also freezes the task's uncollected cyclic garbage: a
+            # few hundred objects per app, and only on the tasks that
+            # grew the cache.
+            gc.freeze()
+            frozen_classes = framework.cached_class_count
 
 
 # -- parent side -----------------------------------------------------------

@@ -25,9 +25,16 @@ import zlib
 from typing import NamedTuple
 
 from ..apk.manifest import MAX_API_LEVEL, MIN_API_LEVEL
-from ..ir.builder import ClassBuilder, MethodBuilder
-from ..ir.instructions import InvokeKind
-from ..ir.method import Method, MethodFlags
+from ..ir.clazz import Clazz
+from ..ir.instructions import (
+    ConstInt,
+    ConstString,
+    Invoke,
+    InvokeKind,
+    Return,
+    ReturnVoid,
+)
+from ..ir.method import Method, MethodBody, MethodFlags
 from ..ir.types import ClassName, MethodRef
 from .spec import ClassHistory, FrameworkSpec, MethodHistory
 
@@ -90,30 +97,46 @@ def _padding_amount(ref: MethodRef) -> int:
     return 4 + (zlib.crc32(signature.encode()) & 7)
 
 
-def _emit_regular_body(
-    builder: MethodBuilder,
+# Generated bodies are branch-free, so each is assembled as one tuple
+# and sealed without a builder or label resolution.  Instructions are
+# frozen values, so bodies share them: every padding run is a prefix
+# of one tuple of ``const`` loads, and the return tails are shared.
+_PADDING_RUN = tuple(ConstInt(dest=i % 4, value=i) for i in range(11))
+_PADDING = {n: _PADDING_RUN[:n] for n in range(4, 12)}
+_VOID_TAIL = (ReturnVoid(),)
+_VALUE_TAIL = (ConstInt(10, 0), Return(10))
+
+
+def _method(
+    ref: MethodRef,
+    instructions: tuple,
+    flags: MethodFlags = MethodFlags.NONE,
+) -> Method:
+    return Method(ref=ref, flags=flags, body=MethodBody(instructions, {}))
+
+
+def _regular_method(
+    ref: MethodRef,
     history: MethodHistory,
     spec: FrameworkSpec,
     level: int,
-) -> None:
-    """Body of a non-callback framework method at ``level``."""
-    for i in range(_padding_amount(builder.ref)):
-        builder.const_int(dest=i % 4, value=i)
+) -> Method:
+    """A non-callback framework method at ``level``."""
+    body = _PADDING[_padding_amount(ref)]
     for permission in history.permissions:
-        builder.const_string(8, permission)
-        builder.const_string(9, f"{builder.ref.name} requires {permission}")
-        builder.invoke_ref(InvokeKind.VIRTUAL, ENFORCEMENT_METHOD, args=(8, 9))
+        body += (
+            ConstString(8, permission),
+            ConstString(9, f"{ref.name} requires {permission}"),
+            Invoke(InvokeKind.VIRTUAL, ENFORCEMENT_METHOD, (8, 9)),
+        )
     for callee in history.calls:
         target = spec.find_method(
             callee.class_name, callee.name + callee.descriptor
         )
         if target is not None and target.exists_at(level):
-            builder.invoke_ref(InvokeKind.VIRTUAL, callee, args=())
-    if builder.ref.return_type != "void":
-        builder.const_int(10, 0)
-        builder.return_value(10)
-    else:
-        builder.return_void()
+            body += (Invoke(InvokeKind.VIRTUAL, callee, ()),)
+    tail = _VALUE_TAIL if ref.return_type != "void" else _VOID_TAIL
+    return _method(ref, body + tail)
 
 
 def _dispatch_method(
@@ -121,13 +144,15 @@ def _dispatch_method(
 ) -> Method:
     """Synthetic dispatcher invoking the class's callbacks virtually."""
     ref = MethodRef(class_name, f"{DISPATCH_PREFIX}{index}", "()void")
-    builder = MethodBuilder(ref, flags=MethodFlags.SYNTHETIC)
-    for callback in callbacks:
-        builder.invoke_virtual(
-            class_name, callback.name, callback.descriptor, args=()
+    body = tuple(
+        Invoke(
+            InvokeKind.VIRTUAL,
+            MethodRef(class_name, callback.name, callback.descriptor),
+            (),
         )
-    builder.return_void()
-    return builder.build()
+        for callback in callbacks
+    )
+    return _method(ref, body + _VOID_TAIL, MethodFlags.SYNTHETIC)
 
 
 def _semantics_method(
@@ -139,12 +164,12 @@ def _semantics_method(
     invokes — so it cannot perturb call-edge mining, summaries, or
     exploration of framework bodies."""
     ref = MethodRef(class_name, f"{SEMANTICS_PREFIX}{index}", "()void")
-    builder = MethodBuilder(ref, flags=MethodFlags.SYNTHETIC)
-    for method in carriers:
-        for delta in method.semantics:
-            builder.const_string(0, semantic_tag(method, delta))
-    builder.return_void()
-    return builder.build()
+    body = tuple(
+        ConstString(0, semantic_tag(method, delta))
+        for method in carriers
+        for delta in method.semantics
+    )
+    return _method(ref, body + _VOID_TAIL, MethodFlags.SYNTHETIC)
 
 
 def materialize_class(
@@ -162,33 +187,34 @@ def materialize_class(
 
 def _materialize(
     history: ClassHistory, spec: FrameworkSpec, level: int
-):
-    builder = ClassBuilder(
-        name=history.name,
-        super_name=history.super_name,
-        interfaces=history.interfaces,
-        origin="framework",
-    )
+) -> Clazz:
+    methods: list[Method] = []
     callbacks: list[MethodHistory] = []
     carriers: list[MethodHistory] = []
     for method_history in history.methods_at(level):
         ref = MethodRef(
             history.name, method_history.name, method_history.descriptor
         )
-        method_builder = MethodBuilder(ref)
         if method_history.callback:
             callbacks.append(method_history)
-            method_builder.return_void()
+            methods.append(_method(ref, _VOID_TAIL))
         else:
-            _emit_regular_body(method_builder, method_history, spec, level)
+            methods.append(
+                _regular_method(ref, method_history, spec, level)
+            )
         if method_history.semantics:
             carriers.append(method_history)
-        builder.add(method_builder.build())
     if callbacks:
-        builder.add(_dispatch_method(history.name, callbacks, 0))
+        methods.append(_dispatch_method(history.name, callbacks, 0))
     if carriers:
-        builder.add(_semantics_method(history.name, carriers, 0))
-    return builder.build()
+        methods.append(_semantics_method(history.name, carriers, 0))
+    return Clazz(
+        name=history.name,
+        super_name=history.super_name,
+        interfaces=history.interfaces,
+        methods=tuple(methods),
+        origin="framework",
+    )
 
 
 class ImageCount(NamedTuple):

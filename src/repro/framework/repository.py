@@ -15,6 +15,7 @@ use, without materializing anything.
 
 from __future__ import annotations
 
+import gc
 from dataclasses import dataclass
 
 from ..apk.manifest import MAX_API_LEVEL, MIN_API_LEVEL
@@ -124,6 +125,11 @@ class FrameworkRepository:
         self._class_cache[key] = clazz
         return clazz, False
 
+    @property
+    def cached_class_count(self) -> int:
+        """How many ``(level, name)`` entries the class cache holds."""
+        return len(self._class_cache)
+
     def export_class_cache(
         self,
     ) -> dict[tuple[int, ClassName], Clazz | None]:
@@ -139,9 +145,9 @@ class FrameworkRepository:
         pool runs: warm once here, and every pool worker starts with
         the whole level warm instead of each re-materializing its own
         working set."""
-        before = len(self._class_cache)
+        before = self.cached_class_count
         self.load_image(level)
-        return len(self._class_cache) - before
+        return self.cached_class_count - before
 
     def owns(self, name: ClassName) -> bool:
         """Whether ``name`` is in the framework namespace (regardless of
@@ -165,14 +171,24 @@ class FrameworkRepository:
         :meth:`load_class` lookups."""
         image: dict[ClassName, Clazz] = {}
         materialized = False
-        for name in self.class_names(level):
-            key = (level, name)
-            clazz = self._class_cache.get(key)
-            if clazz is None:
-                clazz = materialize_class(self._spec, name, level)
-                self._class_cache[key] = clazz
-                materialized = True
-            image[name] = clazz
+        # Framework IR holds no reference cycles, so a collection
+        # triggered by the build's allocations could free nothing; it
+        # would only re-walk the growing image.  Pause the collector
+        # and hand the caller back its own setting.
+        enabled = gc.isenabled()
+        gc.disable()
+        try:
+            for name in self.class_names(level):
+                key = (level, name)
+                clazz = self._class_cache.get(key)
+                if clazz is None:
+                    clazz = materialize_class(self._spec, name, level)
+                    self._class_cache[key] = clazz
+                    materialized = True
+                image[name] = clazz
+        finally:
+            if enabled:
+                gc.enable()
         if materialized:
             self.cache_stats.image_misses += 1
         else:

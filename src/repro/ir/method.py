@@ -93,6 +93,9 @@ class MethodBody:
 
 _EMPTY_BODY = MethodBody(instructions=(), labels={})
 
+#: Flags under which a method may not carry code.
+_CODELESS = MethodFlags.ABSTRACT | MethodFlags.NATIVE
+
 
 @dataclass(frozen=True)
 class Method:
@@ -108,10 +111,11 @@ class Method:
     body: MethodBody | None = _EMPTY_BODY
 
     def __post_init__(self) -> None:
-        has_code_forbidden = bool(
-            self.flags & (MethodFlags.ABSTRACT | MethodFlags.NATIVE)
-        )
-        if has_code_forbidden and self.body is not None and len(self.body):
+        # Most methods carry no flags: skip the enum arithmetic.
+        if self.flags is MethodFlags.NONE:
+            return
+        codeless = self.flags & _CODELESS
+        if codeless and self.body is not None and len(self.body):
             raise ValueError(
                 f"{self.ref}: abstract/native methods cannot carry code"
             )

@@ -171,11 +171,7 @@ class JobQueue(JobSource):
             if self._closed:
                 self.counters["rejected_closed"] += 1
                 raise QueueClosedError("daemon is draining")
-            hit = (
-                self._dedup_lookup(fingerprint)
-                if fingerprint is not None
-                else None
-            )
+            hit = self._dedup_lookup(fingerprint)
             if hit is not None:
                 return self._admit_terminal(
                     forged, fingerprint, hit, job_id
@@ -195,14 +191,23 @@ class JobQueue(JobSource):
 
     def resubmit(self, job: Job, forged: ForgedApp) -> None:
         """Re-enqueue a journal-replayed job (already write-ahead
-        recorded by the previous incarnation — no new WAL record)."""
+        recorded by the previous incarnation — no new job record).  A
+        job whose clean result is already known — the previous
+        incarnation stored it in the result cache but died before
+        journaling it — completes here, journaling only its result."""
         with self._cond:
-            job.state = JobState.QUEUED
             self._jobs[job.id] = job
             self._by_seq[job.seq] = job.id
+            self.counters["replayed"] += 1
+            hit = self._dedup_lookup(job.fingerprint)
+            if hit is not None:
+                self._complete_from_dedup(job, hit)
+                if self._journal is not None:
+                    self._journal.append_result(job)
+                return
+            job.state = JobState.QUEUED
             self._ready.append((job, forged))
             self.counters["submitted"] += 1
-            self.counters["replayed"] += 1
             self._cond.notify_all()
 
     def adopt(self, job: Job) -> None:
@@ -246,7 +251,9 @@ class JobQueue(JobSource):
         forged = ForgedApp(apk=apk, truth=truth)
         return forged, apk_fingerprint(forged)
 
-    def _dedup_lookup(self, fingerprint: str) -> "AppResult | None":
+    def _dedup_lookup(self, fingerprint: str | None) -> "AppResult | None":
+        if fingerprint is None:
+            return None
         hit = self._dedup.get(fingerprint)
         if hit is not None:
             return hit
@@ -279,19 +286,22 @@ class JobQueue(JobSource):
         job_id: str | None,
     ) -> Job:
         job = self._new_job(forged, fingerprint, job_id)
+        self._complete_from_dedup(job, result)
+        if self._journal is not None:
+            # Terminal on admission: one combined record pair keeps
+            # the WAL invariant (every acked job reaches the journal).
+            self._journal.append_job(job, forged.apk)
+            self._journal.append_result(job)
+        return job
+
+    def _complete_from_dedup(self, job: Job, result: "AppResult") -> None:
         job.state = JobState.COMPLETED
         job.dedup = True
         job.result = result
         job.finished_at = time.time()
         self.counters["dedup_hits"] += 1
         self.counters["completed"] += 1
-        if self._journal is not None:
-            # Terminal on admission: one combined record pair keeps
-            # the WAL invariant (every acked job reaches the journal).
-            self._journal.append_job(job, forged.apk)
-            self._journal.append_result(job)
         self._cond.notify_all()
-        return job
 
     def _write_ahead(
         self, job: Job, forged: ForgedApp, truth_doc: dict | None

@@ -9,6 +9,7 @@ accounting around it.
 
 from __future__ import annotations
 
+import gc
 import multiprocessing
 import time
 
@@ -84,6 +85,16 @@ class _CallerBuiltTool:
 
     def analyze(self, apk):
         return self._inner.analyze(apk)
+
+
+class _FreezeProbe:
+    """Fails every app with the analyzing process's frozen-object
+    count, so a test can read it off the results."""
+
+    name = "FreezeProbe"
+
+    def analyze(self, apk):
+        raise RuntimeError(f"frozen={gc.get_freeze_count()}")
 
 
 class TestEquivalence:
@@ -320,6 +331,24 @@ class TestAppShipping:
         assert len(tasks) == len(apps)
         assert all(isinstance(task[1], ForgedApp) for task in tasks)
         assert all(sent["apps"] == {} for sent in task_spy)
+
+
+class TestCollector:
+    def test_workers_freeze_the_substrate_and_the_caller_does_not(
+        self, framework, apidb, small_corpus
+    ):
+        """Pool workers move the inherited substrate out of the cyclic
+        collector's reach; the caller's process keeps no freeze, so its
+        own cycles stay collectable."""
+        before = gc.get_freeze_count()
+        probe = ToolSet(framework, apidb, tools=[_FreezeProbe()])
+        out = run_tools(small_corpus[:2], probe, jobs=2)
+        assert gc.get_freeze_count() == before
+        frozen = [
+            int(result.error.message.rsplit("frozen=", 1)[1])
+            for result in out.results
+        ]
+        assert len(frozen) == 2 and min(frozen) > 0
 
 
 class TestCli:

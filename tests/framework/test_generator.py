@@ -1,19 +1,23 @@
 """Tests for framework image materialization."""
 
+import hashlib
 from functools import partial
 
 import pytest
 
 from repro.apk.manifest import MAX_API_LEVEL, MIN_API_LEVEL
+from repro.framework import FrameworkRepository
 from repro.framework.catalog import build_spec, default_spec
 from repro.framework.generator import (
     DISPATCH_PREFIX,
     ENFORCEMENT_METHOD,
+    _padding_amount,
     image_counts,
     materialize_class,
     materialize_image,
 )
 from repro.ir.instructions import ConstString, Invoke
+from repro.ir.method import MethodFlags
 
 
 class TestMaterializeClass:
@@ -166,3 +170,58 @@ class TestImageCountsGolden:
             23: (1706, 105938),
             29: (2033, 159028),
         }
+
+
+def _framework_ir_digest(spec) -> str:
+    """sha256 over every level's materialized classes: each class's
+    header, then each method's ref, flags, instructions and labels."""
+    digest = hashlib.sha256()
+    for level in range(MIN_API_LEVEL, MAX_API_LEVEL + 1):
+        image = FrameworkRepository(spec).load_image(level)
+        for name in sorted(image):
+            clazz = image[name]
+            digest.update(
+                repr(
+                    (level, name, clazz.super_name, clazz.interfaces,
+                     clazz.origin)
+                ).encode()
+            )
+            for method in clazz.methods:
+                body = method.body
+                digest.update(
+                    repr(
+                        (method.ref, method.flags.value, body.instructions,
+                         sorted(body.labels.items()))
+                    ).encode()
+                )
+    return digest.hexdigest()
+
+
+class TestFrameworkIrPinned:
+    """Generated bodies are assembled from shared instruction tuples;
+    the IR they add up to is pinned to what the builder-based
+    generator produced, at every level and under any hash seed."""
+
+    def test_every_level_matches_the_pinned_digest(self, spec):
+        assert _framework_ir_digest(spec) == (
+            "296b2d008148d7dec81850b9e15a2d11"
+            "19a35372d45800c697e081851ae99265"
+        )
+
+    def test_same_size_bodies_share_their_padding(self, spec):
+        first: dict[int, tuple] = {}
+        shared: set[int] = set()
+        for clazz in FrameworkRepository(spec).load_image(29).values():
+            for method in clazz.methods:
+                body = method.body.instructions
+                if method.flags & MethodFlags.SYNTHETIC or len(body) == 1:
+                    continue  # dispatchers, manifests, callbacks
+                size = _padding_amount(method.ref)
+                if size not in first:
+                    first[size] = body
+                    continue
+                assert all(
+                    a is b for a, b in zip(first[size][:size], body[:size])
+                ), method.ref
+                shared.add(size)
+        assert shared == set(range(4, 12))

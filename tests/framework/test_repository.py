@@ -1,5 +1,7 @@
 """Tests for the versioned framework repository."""
 
+import gc
+
 import pytest
 
 from repro.baselines.cid import Cid
@@ -77,6 +79,52 @@ class TestOneClassStore:
         assert framework.image_instruction_count(23) == sum(
             clazz.instruction_count for clazz in image.values()
         )
+
+
+class TestCollectorPause:
+    """Framework IR is acyclic, so ``load_image`` builds with the
+    cyclic collector paused and hands the caller back its own
+    setting."""
+
+    @staticmethod
+    def _spy(monkeypatch, fail: bool = False) -> list[bool]:
+        seen: list[bool] = []
+        real = repository_module.materialize_class
+
+        def spying(*args):
+            seen.append(gc.isenabled())
+            if fail:
+                raise RuntimeError("materialization failed")
+            return real(*args)
+
+        monkeypatch.setattr(repository_module, "materialize_class", spying)
+        return seen
+
+    def test_enabled_collector_is_paused_then_restored(
+        self, spec, monkeypatch
+    ):
+        seen = self._spy(monkeypatch)
+        assert gc.isenabled()
+        FrameworkRepository(spec).load_image(2)
+        assert seen and not any(seen)
+        assert gc.isenabled()
+
+    def test_disabled_collector_stays_disabled(self, spec, monkeypatch):
+        seen = self._spy(monkeypatch)
+        gc.disable()
+        try:
+            FrameworkRepository(spec).load_image(2)
+            assert seen and not gc.isenabled()
+        finally:
+            gc.enable()
+
+    def test_collector_restored_when_materialization_raises(
+        self, spec, monkeypatch
+    ):
+        self._spy(monkeypatch, fail=True)
+        with pytest.raises(RuntimeError, match="materialization failed"):
+            FrameworkRepository(spec).load_image(2)
+        assert gc.isenabled()
 
 
 class TestCidSizesTheImageWithoutBuildingIt:

@@ -183,6 +183,45 @@ class TestRecovery:
         fresh = second.submit(serve_apk_doc("fresh"))
         assert fresh.seq > 99
 
+    def test_replay_serves_a_cached_result_without_reanalysis(
+        self, make_service, tmp_path
+    ):
+        """A daemon that stored a job's result in the result cache but
+        died before journaling it: the restarted daemon completes the
+        replayed job from the cache and journals only its result."""
+        import json
+
+        wal = tmp_path / "cached.jsonl"
+        cache_dir = str(tmp_path / "cache")
+        first = make_service(journal=str(wal), cache_dir=cache_dir)
+        job = first.submit(serve_apk_doc("cached"))
+        assert first.wait(job.id, timeout_s=60.0).terminal
+        first.drain(timeout_s=60.0)
+        assert first.statsz()["result_cache"]["stores"] == 1
+        # The crash: the cache entry landed, the result record did not.
+        lines = wal.read_text().splitlines(keepends=True)
+        kept = [
+            line for line in lines
+            if json.loads(line).get("type") != "result"
+        ]
+        assert len(kept) == len(lines) - 1
+        wal.write_text("".join(kept))
+
+        second = make_service(journal=str(wal), cache_dir=cache_dir)
+        assert second.health()["recovery"]["pending"] == 1
+        replayed = second.wait(job.id, timeout_s=60.0)
+        assert replayed.state is JobState.COMPLETED
+        assert replayed.replayed and replayed.dedup
+        assert replayed.result.fingerprint() == job.result.fingerprint()
+        traffic = second.statsz()["result_cache"]
+        assert (traffic["hits"], traffic["stores"]) == (1, 0)
+        second.drain(timeout_s=60.0)
+        records = [json.loads(line) for line in wal.read_text().splitlines()]
+        assert [r.get("type") for r in records if r.get("id") == job.id] == [
+            "job",
+            "result",
+        ]
+
     def test_restart_with_other_tools_refuses_the_journal(
         self, make_service, tmp_path
     ):
